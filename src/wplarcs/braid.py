@@ -19,13 +19,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .core import (
     Bridging,
     Curve,
-    InnerPeripheral,
-    MOVE_E,
-    MOVE_S,
-    OuterPeripheral,
     Surface,
     _check_same_surface,
-    move,
+    connector,
 )
 from .errors import (
     IndexOutOfRange,
@@ -92,40 +88,14 @@ def word(strands: int, *letters: int) -> BraidWord:
 # ---------------------------------------------------------------------------
 
 
-def _free_endpoint(curve: Curve, shared_role: str):
-    return curve.end if shared_role == "start" else curve.start
-
-
-def _connector_arc(s: Surface, e1, e2) -> Curve:
-    (b1, i1), (b2, i2) = e1, e2
-    if b1 == b2:
-        a, b = sorted((i1, i2))
-        return InnerPeripheral(s, a, b) if b1 == "inner" else OuterPeripheral(s, a, b)
-    inner_idx = i1 if b1 == "inner" else i2
-    outer_idx = i2 if b1 == "inner" else i1
-    return Bridging(s, inner_idx, outer_idx)
-
-
-def _advance_end(curve: Curve) -> Curve:
-    if isinstance(curve, Bridging):
-        return Bridging(curve.surface, curve.i + 1, curve.j)
-    return type(curve)(curve.surface, curve.a, curve.b + 1)
-
-
-def _retreat_start(curve: Curve) -> Curve:
-    if isinstance(curve, Bridging):
-        return Bridging(curve.surface, curve.i, curve.j - 1)
-    return type(curve)(curve.surface, curve.a - 1, curve.b)
-
-
 def _smooth_crossing(alpha: Curve, beta: Curve) -> Curve:
     witness = exceptional_intersection(alpha, beta)
     if witness is None:
         raise InternalInvariantViolation("crossing vanished during smoothing")
     beta_k = beta.translated(witness.offset)
     s = alpha.surface
-    g3 = _connector_arc(s, alpha.start, beta_k.end)
-    g4 = _connector_arc(s, beta_k.start, alpha.end)
+    g3 = connector(s, alpha.start, beta_k.end)
+    g4 = connector(s, beta_k.start, alpha.end)
     deg3 = g3.is_degenerate()
     deg4 = g4.is_degenerate()
     if deg3 == deg4:
@@ -172,15 +142,15 @@ def _mutate_pair(alpha: Curve, beta: Curve, side: str) -> Curve:
         return Bridging(s, alpha.i + 2 * s.p, alpha.j)
 
     if rel.shared_start or rel.shared_end:
-        role = "start" if rel.shared_start else "end"
-        boundary, idx = getattr(alpha, role)
-        period = s.p if boundary == "inner" else s.q
-        _, beta_idx = getattr(beta, role)
-        beta_aligned = beta.translated((idx - beta_idx) // period)
-        delta = _connector_arc(
-            s, _free_endpoint(alpha, role), _free_endpoint(beta_aligned, role)
-        )
-        return _advance_end(delta) if role == "end" else _retreat_start(delta)
+        # Join the free endpoints, then widen that connector by one index:
+        # past its end when the ends are shared, before its start otherwise.
+        role, free = ("start", "end") if rel.shared_start else ("end", "start")
+        beta_aligned = beta.aligned(role, getattr(alpha, role)[1])
+        delta = connector(s, getattr(alpha, free), getattr(beta_aligned, free))
+        (b0, i0), (b1, i1) = delta.start, delta.end
+        if role == "end":
+            return connector(s, (b0, i0), (b1, i1 + 1))
+        return connector(s, (b0, i0 - 1), (b1, i1))
 
     # Orthogonal: mutation fixes the arcs.
     return beta if side == LEFT else alpha
@@ -246,14 +216,7 @@ def canonical_theta(s: Surface) -> OrderedCollection:
 
 def se_shift_collection(collection: Sequence[Curve], k: int) -> OrderedCollection:
     """Apply the simultaneous start/end shift k times to every member."""
-    ops = [MOVE_S, MOVE_E] if k >= 0 else ["s-", "e-"]
-    out = []
-    for arc in collection:
-        c = arc
-        for _ in range(abs(k)):
-            c = move(c, ops)
-        out.append(c)
-    return tuple(out)
+    return tuple(arc.se_shifted(k) for arc in collection)
 
 
 # ---------------------------------------------------------------------------

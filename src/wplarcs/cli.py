@@ -53,19 +53,26 @@ def _require_fields(obj: Dict[str, Any], fields: Sequence[str]) -> None:
         raise WireError(f"missing fields {sorted(missing)}")
 
 
+def _int(value: Any) -> int:
+    # JSON integers only: no floats, numeric strings or booleans.
+    if type(value) is not int:
+        raise WireError(f"expected an integer, got {value!r}")
+    return value
+
+
 def parse_curve(s: Surface, obj: Dict[str, Any]) -> Curve:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise WireError("curve must be an object with a 'kind' field")
     kind = obj["kind"]
     if kind == "bridging":
         _require_fields(obj, ("kind", "i", "j"))
-        return Bridging(s, int(obj["i"]), int(obj["j"]))
+        return Bridging(s, _int(obj["i"]), _int(obj["j"]))
     if kind == "inner":
         _require_fields(obj, ("kind", "a", "b"))
-        return InnerPeripheral(s, int(obj["a"]), int(obj["b"]))
+        return InnerPeripheral(s, _int(obj["a"]), _int(obj["b"]))
     if kind == "outer":
         _require_fields(obj, ("kind", "a", "b"))
-        return OuterPeripheral(s, int(obj["a"]), int(obj["b"]))
+        return OuterPeripheral(s, _int(obj["a"]), _int(obj["b"]))
     raise WireError(f"unknown curve kind {kind!r}")
 
 
@@ -88,13 +95,14 @@ def parse_sheaf(s: Surface, obj: Dict[str, Any]) -> SheafClass:
         x = obj["x"]
         if not (isinstance(x, list) and len(x) == 3):
             raise WireError("'x' must be a triple [l1, l2, l]")
-        return LineBundle(s, normal_form(int(x[0]), int(x[1]) + int(x[2]) * s.q, 0, s))
+        l1, l2, l = (_int(v) for v in x)
+        return LineBundle(s, normal_form(l1, l2 + l * s.q, 0, s))
     if kind == "tinf":
         _require_fields(obj, ("kind", "i", "len"))
-        return TorsionInf(s, int(obj["i"]), int(obj["len"]))
+        return TorsionInf(s, _int(obj["i"]), _int(obj["len"]))
     if kind == "tzero":
         _require_fields(obj, ("kind", "i", "len"))
-        return TorsionZero(s, int(obj["i"]), int(obj["len"]))
+        return TorsionZero(s, _int(obj["i"]), _int(obj["len"]))
     raise WireError(f"unknown sheaf kind {kind!r}")
 
 
@@ -118,7 +126,7 @@ def parse_collection(s: Surface, obj: Any) -> List[Curve]:
 
 def parse_word(strands: int, obj: Any) -> braid_mod.BraidWord:
     if not isinstance(obj, list) or not all(
-        isinstance(v, int) and v != 0 for v in obj
+        type(v) is int and v != 0 for v in obj
     ):
         raise WireError("braid word must be an array of nonzero integers")
     return braid_mod.word(strands, *obj)
@@ -197,13 +205,8 @@ def _arrowhead(tip, control) -> str:
 
 def _visible_lifts(c: Curve, x0: int, x1: int) -> List[int]:
     s = c.surface
-    if isinstance(c, Bridging):
-        lo = min(c.j / s.q, c.i / s.p)
-        hi = max(c.j / s.q, c.i / s.p)
-    elif isinstance(c, InnerPeripheral):
-        lo, hi = c.a / s.p, c.b / s.p
-    else:
-        lo, hi = c.a / s.q, c.b / s.q
+    xs = [idx / s.period(boundary) for boundary, idx in (c.start, c.end)]
+    lo, hi = min(xs), max(xs)
     lifts = []
     k = int(x0 - hi) - 1
     while lo + k <= x1 + 1:

@@ -4,8 +4,14 @@ The marked annulus of type (p, q) carries p marked points on the inner
 boundary and q on the outer one.  Working in the universal cover (a
 horizontal strip with the inner boundary drawn on top), marked points sit at
 x = i/p on the top boundary and x = j/q on the bottom one, for integer i, j.
-Curves are considered up to homotopy and are encoded by their integer
-endpoint indices; a full turn of the annulus translates indices by (p, q).
+
+Every non-loop curve is a pair of endpoints in the cover, each a (boundary,
+index) pair, up to the deck translation: a full turn adds the boundary's
+period (p inner, q outer) to each index.  Bridging curves run from the outer
+boundary to the inner one, peripheral curves along one boundary from the
+lower index to the higher.  One move rule serves every class: a move steps
+one endpoint +1 on the inner boundary and -1 on the outer one, and the
+se-shift (Serre duality on the sheaf side) moves both endpoints at once.
 
 Isomorphism classes of indecomposable sheaves over the weighted projective
 line of the same type are encoded by :class:`SheafClass` values; the
@@ -16,9 +22,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from operator import attrgetter
+from typing import Iterable, Sequence, Tuple, Union
 
 from .errors import (
+    InternalInvariantViolation,
     InvalidCurve,
     OutOfScope,
     SurfaceMismatch,
@@ -30,6 +38,11 @@ MOVE_S = "s"
 MOVE_E = "e"
 MOVE_S_INV = "s-"
 MOVE_E_INV = "e-"
+
+INNER = "inner"
+OUTER = "outer"
+# The Surface field holding each boundary's number of marked points.
+_PERIOD_FIELD = {INNER: "p", OUTER: "q"}
 
 
 @dataclass(frozen=True, order=True)
@@ -51,6 +64,10 @@ class Surface:
     def rank(self) -> int:
         """Rank of the Grothendieck group, p + q."""
         return self.p + self.q
+
+    def period(self, boundary: str) -> int:
+        """Marked points on a boundary: the index shift of one full turn."""
+        return getattr(self, _PERIOD_FIELD[boundary])
 
     def __repr__(self) -> str:
         return f"Surface({self.p},{self.q})"
@@ -158,51 +175,101 @@ def _coeff_x2(x: LElt) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Curves on the annulus, encoded by endpoint indices in the cover.
+# Curves on the annulus: the endpoint model.
 # ---------------------------------------------------------------------------
 
-INNER = "inner"
-OUTER = "outer"
+_set = object.__setattr__
 
 
-@dataclass(frozen=True)
-class Bridging:
-    """Positive bridging curve from outer point j/q up to inner point i/p.
+def _field_property(expression: str, doc: str) -> property:
+    # Compiled per class so that a read is a plain attribute load, as fast
+    # as a hand-written property; getattr by field name is a third slower.
+    return property(eval(f"lambda curve: {expression}"), doc=doc)
 
-    Canonical form keeps i in [0, p); translating by a full turn shifts
-    (i, j) by (p, q).
+
+class _EndpointCurve:
+    """The endpoint model, shared by every non-loop curve class.
+
+    A subclass is a frozen dataclass with fields (surface, x, y) that names
+    the (boundary, field) of its start and of its end as class keywords.
+    The canonical lift keeps x in [0, period); a peripheral curve, with both
+    points on one boundary, needs y > x.
     """
+
+    def __init_subclass__(
+        cls, *, start: Tuple[str, str], end: Tuple[str, str], **kwargs
+    ) -> None:
+        super().__init_subclass__(**kwargs)
+        x, y = [name for name in cls.__annotations__ if name != "surface"]
+        boundary = {field: b for b, field in (start, end)}
+        cls._x, cls._y = x, y
+        cls._indices = attrgetter(x, y)
+        cls._x_period = attrgetter(_PERIOD_FIELD[boundary[x]])
+        cls._y_period = attrgetter(_PERIOD_FIELD[boundary[y]])
+        cls._x_step = 1 if boundary[x] == INNER else -1
+        cls._y_step = 1 if boundary[y] == INNER else -1
+        cls._start_is_x = start[1] == x
+        cls._peripheral = start[0] == end[0]
+        for role, (b, field) in (("start", start), ("end", end)):
+            doc = f"The {role} point of this lift as (boundary, index)."
+            setattr(cls, role, _field_property(f"({b!r}, curve.{field})", doc))
+        if cls._peripheral:
+            doc = "Marked points from start to end along the boundary."
+            cls.span = _field_property(f"curve.{y} - curve.{x}", doc)
+
+    def __init__(self, surface: Surface, x: int, y: int) -> None:
+        if self._peripheral and y <= x:
+            raise InvalidCurve("peripheral span must be positive")
+        period = self._x_period(surface)
+        k = x // period
+        if k:
+            x -= k * period
+            y -= k * self._y_period(surface)
+        _set(self, "surface", surface)
+        _set(self, self._x, x)
+        _set(self, self._y, y)
+
+    def translated(self, k: int):
+        """This lift moved k full turns along the cover, not renormalised."""
+        s = self.surface
+        x, y = self._indices(self)
+        lift = object.__new__(type(self))
+        _set(lift, "surface", s)
+        _set(lift, self._x, x + k * self._x_period(s))
+        _set(lift, self._y, y + k * self._y_period(s))
+        return lift
+
+    def aligned(self, role: str, index: int):
+        """The lift whose start or end (`role`) index is `index`, when congruent.
+
+        Otherwise the lift whose index is the largest one below `index`.
+        """
+        boundary, own = getattr(self, role)
+        return self.translated((index - own) // self.surface.period(boundary))
+
+    def _moved(self, start_steps: int, end_steps: int):
+        dx, dy = (start_steps, end_steps) if self._start_is_x else (end_steps, start_steps)
+        x, y = self._indices(self)
+        return type(self)(self.surface, x + dx * self._x_step, y + dy * self._y_step)
+
+    def se_shifted(self, k: int):
+        """The simultaneous start/end move applied k times; k < 0 undoes it."""
+        return self._moved(k, k)
+
+    def is_arc(self) -> bool:
+        return not self._peripheral or 2 <= self.span <= self._x_period(self.surface)
+
+    def is_degenerate(self) -> bool:
+        return self._peripheral and self.span == 1
+
+
+@dataclass(frozen=True, init=False)
+class Bridging(_EndpointCurve, start=(OUTER, "j"), end=(INNER, "i")):
+    """Positive bridging curve from outer point j/q up to inner point i/p."""
 
     surface: Surface
     i: int
     j: int
-
-    def __post_init__(self) -> None:
-        k = self.i // self.surface.p
-        if k:
-            object.__setattr__(self, "i", self.i - k * self.surface.p)
-            object.__setattr__(self, "j", self.j - k * self.surface.q)
-
-    def translated(self, k: int) -> "Bridging":
-        b = Bridging.__new__(Bridging)
-        object.__setattr__(b, "surface", self.surface)
-        object.__setattr__(b, "i", self.i + k * self.surface.p)
-        object.__setattr__(b, "j", self.j + k * self.surface.q)
-        return b
-
-    @property
-    def start(self):
-        return (OUTER, self.j)
-
-    @property
-    def end(self):
-        return (INNER, self.i)
-
-    def is_arc(self) -> bool:
-        return True
-
-    def is_degenerate(self) -> bool:
-        return False
 
     def key(self):
         return (0, self.i, self.j)
@@ -211,8 +278,8 @@ class Bridging:
         return f"B({self.i},{self.j})"
 
 
-@dataclass(frozen=True)
-class InnerPeripheral:
+@dataclass(frozen=True, init=False)
+class InnerPeripheral(_EndpointCurve, start=(INNER, "a"), end=(INNER, "b")):
     """Curve along the inner boundary from a/p to b/p with a < b.
 
     Span 1 is a degenerate boundary segment (a value of the extended curve
@@ -224,39 +291,6 @@ class InnerPeripheral:
     a: int
     b: int
 
-    def __post_init__(self) -> None:
-        if self.b <= self.a:
-            raise InvalidCurve("peripheral span must be positive")
-        k = self.a // self.surface.p
-        if k:
-            object.__setattr__(self, "a", self.a - k * self.surface.p)
-            object.__setattr__(self, "b", self.b - k * self.surface.p)
-
-    def translated(self, k: int) -> "InnerPeripheral":
-        c = InnerPeripheral.__new__(InnerPeripheral)
-        object.__setattr__(c, "surface", self.surface)
-        object.__setattr__(c, "a", self.a + k * self.surface.p)
-        object.__setattr__(c, "b", self.b + k * self.surface.p)
-        return c
-
-    @property
-    def span(self) -> int:
-        return self.b - self.a
-
-    @property
-    def start(self):
-        return (INNER, self.a)
-
-    @property
-    def end(self):
-        return (INNER, self.b)
-
-    def is_arc(self) -> bool:
-        return 2 <= self.span <= self.surface.p
-
-    def is_degenerate(self) -> bool:
-        return self.span == 1
-
     def key(self):
         return (1, self.a, self.b)
 
@@ -264,46 +298,13 @@ class InnerPeripheral:
         return f"IP({self.a},{self.b})"
 
 
-@dataclass(frozen=True)
-class OuterPeripheral:
+@dataclass(frozen=True, init=False)
+class OuterPeripheral(_EndpointCurve, start=(OUTER, "a"), end=(OUTER, "b")):
     """Curve along the outer boundary from a/q to b/q with a < b."""
 
     surface: Surface
     a: int
     b: int
-
-    def __post_init__(self) -> None:
-        if self.b <= self.a:
-            raise InvalidCurve("peripheral span must be positive")
-        k = self.a // self.surface.q
-        if k:
-            object.__setattr__(self, "a", self.a - k * self.surface.q)
-            object.__setattr__(self, "b", self.b - k * self.surface.q)
-
-    def translated(self, k: int) -> "OuterPeripheral":
-        c = OuterPeripheral.__new__(OuterPeripheral)
-        object.__setattr__(c, "surface", self.surface)
-        object.__setattr__(c, "a", self.a + k * self.surface.q)
-        object.__setattr__(c, "b", self.b + k * self.surface.q)
-        return c
-
-    @property
-    def span(self) -> int:
-        return self.b - self.a
-
-    @property
-    def start(self):
-        return (OUTER, self.a)
-
-    @property
-    def end(self):
-        return (OUTER, self.b)
-
-    def is_arc(self) -> bool:
-        return 2 <= self.span <= self.surface.q
-
-    def is_degenerate(self) -> bool:
-        return self.span == 1
 
     def key(self):
         return (2, self.a, self.b)
@@ -500,48 +501,42 @@ def phi_inv(sheaf: SheafClass) -> Curve:
 # Elementary moves.
 # ---------------------------------------------------------------------------
 
-_MOVES = {MOVE_S: 1, MOVE_E: 1, MOVE_S_INV: -1, MOVE_E_INV: -1}
+# Each move token: (steps of the start point, steps of the end point).
+_MOVES = {MOVE_S: (1, 0), MOVE_E: (0, 1), MOVE_S_INV: (-1, 0), MOVE_E_INV: (0, -1)}
 
 
 def move(curve: Curve, ops: Iterable[str]) -> Curve:
     """Apply elementary start/end moves, left to right.
 
-    Index effect per move: bridging s: j-1, e: i+1; inner peripheral
-    s: a+1, e: b+1; outer peripheral s: a-1, e: b-1; "-" forms invert.
-    The result may be a degenerate segment or a non-embedded curve.
+    "s" steps the start point and "e" the end point to the next marked
+    point of its boundary, +1 on the inner boundary and -1 on the outer
+    one, whatever the curve class; the "-" forms step back.  Each move
+    builds its curve, so one that would collapse a peripheral curve raises
+    InvalidCurve at once.  The result may be a degenerate segment or a
+    non-embedded curve.
     """
     if isinstance(curve, Loop):
         raise OutOfScope("loops admit no elementary moves")
-    s = curve.surface
     for op in ops:
         if op not in _MOVES:
             raise ValueError(f"unknown move {op!r}")
-        sign = _MOVES[op]
-        on_start = op in (MOVE_S, MOVE_S_INV)
-        if isinstance(curve, Bridging):
-            if on_start:
-                curve = Bridging(s, curve.i, curve.j - sign)
-            else:
-                curve = Bridging(s, curve.i + sign, curve.j)
-        elif isinstance(curve, InnerPeripheral):
-            a, b = curve.a, curve.b
-            if on_start:
-                a += sign
-            else:
-                b += sign
-            if b <= a:
-                raise InvalidCurve("move collapses the peripheral curve")
-            curve = InnerPeripheral(s, a, b)
-        else:
-            a, b = curve.a, curve.b
-            if on_start:
-                a -= sign
-            else:
-                b -= sign
-            if b <= a:
-                raise InvalidCurve("move collapses the peripheral curve")
-            curve = OuterPeripheral(s, a, b)
+        curve = curve._moved(*_MOVES[op])
     return curve
+
+
+def connector(surface: Surface, p1, p2) -> Curve:
+    """The curve of the extended set joining two lift points (boundary, index).
+
+    Two points on one boundary give the peripheral curve from the lower
+    index to the higher; an inner and an outer point give the bridging curve.
+    """
+    (b1, i1), (b2, i2) = p1, p2
+    if b1 != b2:
+        return Bridging(surface, i1, i2) if b1 == INNER else Bridging(surface, i2, i1)
+    if i1 == i2:
+        raise InternalInvariantViolation("connector endpoints coincide")
+    cls = InnerPeripheral if b1 == INNER else OuterPeripheral
+    return cls(surface, min(i1, i2), max(i1, i2))
 
 
 def move_all(curves: Iterable[Curve], ops: Sequence[str]) -> tuple:

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .core import (
+    INNER,
+    OUTER,
     Bridging,
     Curve,
     InnerPeripheral,
@@ -189,24 +191,20 @@ def is_ordered_exceptional_collection(arcs: Sequence[Curve]) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _covered_points(arcs: Iterable[Curve], inner: bool) -> Set[int]:
+def _covered_points(arcs: Iterable[Curve], boundary: str) -> Set[int]:
     covered: Set[int] = set()
     for arc in arcs:
-        if inner and isinstance(arc, InnerPeripheral):
-            period = arc.surface.p
-        elif not inner and isinstance(arc, OuterPeripheral):
-            period = arc.surface.q
-        else:
-            continue
-        covered.update(z % period for z in range(arc.a + 1, arc.b))
+        (b1, a), (b2, b) = arc.start, arc.end
+        if b1 == b2 == boundary:
+            covered.update(z % arc.surface.period(boundary) for z in range(a + 1, b))
     return covered
 
 
 def external_points(collection: ArcCollection) -> Tuple[Set[int], Set[int]]:
     """Marked points not strictly contained in any peripheral member."""
     s = collection.surface
-    inner = set(range(s.p)) - _covered_points(collection.arcs, inner=True)
-    outer = set(range(s.q)) - _covered_points(collection.arcs, inner=False)
+    inner = set(range(s.p)) - _covered_points(collection.arcs, INNER)
+    outer = set(range(s.q)) - _covered_points(collection.arcs, OUTER)
     return inner, outer
 
 
@@ -298,12 +296,9 @@ def _can_add(arcs: List[Curve], edges, candidate: Curve) -> Optional[list]:
 
 def _peripheral_pool(s: Surface) -> List[Curve]:
     pool: List[Curve] = []
-    for a in range(s.p):
-        for span in range(2, s.p + 1):
-            pool.append(InnerPeripheral(s, a, a + span))
-    for a in range(s.q):
-        for span in range(2, s.q + 1):
-            pool.append(OuterPeripheral(s, a, a + span))
+    for cls, period in ((InnerPeripheral, s.p), (OuterPeripheral, s.q)):
+        for a in range(period):
+            pool.extend(cls(s, a, a + span) for span in range(2, period + 1))
     return sorted(pool, key=lambda c: c.key())
 
 

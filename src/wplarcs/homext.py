@@ -13,14 +13,10 @@ from dataclasses import dataclass
 from typing import Tuple
 
 from .core import (
+    INNER,
+    OUTER,
     Bridging,
-    InnerPeripheral,
     LineBundle,
-    MOVE_E,
-    MOVE_E_INV,
-    MOVE_S,
-    MOVE_S_INV,
-    OuterPeripheral,
     SheafClass,
     Surface,
     TorsionInf,
@@ -30,9 +26,9 @@ from .core import (
     _check_same_surface,
     _coeff_x1,
     _coeff_x2,
+    connector,
     dim_S,
     is_arc,
-    move,
     phi_ext,
     phi_inv,
     sheaf_class_vector,
@@ -75,8 +71,8 @@ def hom_dim(X: SheafClass, Y: SheafClass) -> int:
     """dim Hom(X, Y) through the Serre-dual intersection, both routes checked."""
     _require_in_scope(X, Y)
     gx, gy = phi_inv(X), phi_inv(Y)
-    via_shift = positive_int(move(gy, [MOVE_S, MOVE_E]), gx)
-    via_unshift = positive_int(gy, move(gx, [MOVE_S_INV, MOVE_E_INV]))
+    via_shift = positive_int(gy.se_shifted(1), gx)
+    via_unshift = positive_int(gy, gx.se_shifted(-1))
     if via_shift != via_unshift:
         raise InternalInvariantViolation(
             f"Serre-dual routes disagree on ({X!r}, {Y!r}): "
@@ -173,27 +169,6 @@ def _unique_crossing_offset(c1, c2) -> int:
     return witnesses[0].offset
 
 
-def _connector(p1, p2):
-    """Curve of the extended set joining two lift points, canonically oriented."""
-    (b1, i1), (b2, i2) = p1, p2
-    if b1 == b2:
-        a, b = sorted((i1, i2))
-        if a == b:
-            raise InternalInvariantViolation("connector endpoints coincide")
-        cls = InnerPeripheral if b1 == "inner" else OuterPeripheral
-        return a, b, cls
-    if b1 == "inner":
-        return i1, i2, Bridging
-    return i2, i1, Bridging
-
-
-def _connector_curve(surface, p1, p2):
-    a, b, cls = _connector(p1, p2)
-    if cls is Bridging:
-        return Bridging(surface, a, b)
-    return cls(surface, a, b)
-
-
 def cokernel_of_mono(X: SheafClass, Y: SheafClass) -> Tuple[SheafClass, SheafClass]:
     """Summands of Y/X for the unique proper mono X -> Y.
 
@@ -208,11 +183,11 @@ def cokernel_of_mono(X: SheafClass, Y: SheafClass) -> Tuple[SheafClass, SheafCla
         raise NotApplicable("cokernels are computed for proper monos only")
     g1 = phi_inv(X)
     g2 = phi_inv(Y)
-    g1m = move(g1, [MOVE_S_INV, MOVE_E_INV])
+    g1m = g1.se_shifted(-1)
     k = _unique_crossing_offset(g2, g1m)
     g1m = g1m.translated(k)
-    ends = _connector_curve(s, g1m.end, g2.end)
-    starts = _connector_curve(s, g2.start, g1m.start)
+    ends = connector(s, g1m.end, g2.end)
+    starts = connector(s, g2.start, g1m.start)
     return phi_ext(ends), phi_ext(starts)
 
 
@@ -229,11 +204,11 @@ def kernel_of_epi(X: SheafClass, Y: SheafClass) -> Tuple[SheafClass, SheafClass]
         raise NotApplicable("kernels are computed for proper epis only")
     g1 = phi_inv(X)
     g2 = phi_inv(Y)
-    g2m = move(g2, [MOVE_S, MOVE_E])
+    g2m = g2.se_shifted(1)
     k = _unique_crossing_offset(g2m, g1)
     g1 = g1.translated(k)
-    starts = _connector_curve(s, g1.start, g2m.start)
-    ends = _connector_curve(s, g1.end, g2m.end)
+    starts = connector(s, g1.start, g2m.start)
+    ends = connector(s, g1.end, g2m.end)
     if isinstance(X, LineBundle):
         bundle = starts if isinstance(starts, Bridging) else ends
         other = ends if bundle is starts else starts
@@ -260,16 +235,16 @@ def epi_mono_factor(X: SheafClass, Y: SheafClass) -> SheafClass:
     k = _unique_crossing_offset(g2, g1)
     g1k = g1.translated(k)
     if isinstance(Y, TorsionInf):
-        end1 = g1k.end[1] if not isinstance(g1k, OuterPeripheral) else None
-        if end1 is None:
+        boundary, end1 = g1k.end
+        if boundary != INNER:
             raise NotApplicable("curve shapes incompatible with the inner tube")
         length = end1 - g2.a - 1
         if length < 1:
             raise NotApplicable("the crossing carries no morphism")
         Z: SheafClass = TorsionInf(s, end1, length)
     else:
-        start1 = g1k.start[1] if not isinstance(g1k, InnerPeripheral) else None
-        if start1 is None:
+        boundary, start1 = g1k.start
+        if boundary != OUTER:
             raise NotApplicable("curve shapes incompatible with the outer tube")
         length = g2.b - start1 - 1
         if length < 1:

@@ -17,11 +17,8 @@ from .core import (
     Curve,
     InnerPeripheral,
     Loop,
-    MOVE_E,
-    MOVE_S,
     OuterPeripheral,
     _check_same_surface,
-    move,
 )
 from .errors import InternalInvariantViolation, OutOfScope
 
@@ -105,20 +102,8 @@ def positive_int(c1: Curve, c2: Curve) -> int:
 # sweep; "beta follows alpha" means key(beta) > key(alpha).
 
 
-def _endpoint(curve, role: str):
-    return curve.start if role == "start" else curve.end
-
-
-def _align(curve, role: str, target_index: int):
-    """Translate `curve` so that its start/end lift hits exactly target_index."""
-    boundary, idx = _endpoint(curve, role)
-    period = curve.surface.p if boundary == "inner" else curve.surface.q
-    shift = (target_index - idx) // period
-    return curve.translated(shift)
-
-
 def _germ_key(curve, role: str):
-    boundary, m = _endpoint(curve, role)
+    boundary, m = getattr(curve, role)
     if boundary == "inner":
         if isinstance(curve, InnerPeripheral):
             if role == "start":
@@ -141,12 +126,11 @@ def endpoint_relation(alpha: Curve, beta: Curve) -> EndpointRelation:
     follows = True
     shared = {}
     for role in ("start", "end"):
-        ba, ia = _endpoint(alpha, role)
-        bb, ib = _endpoint(beta, role)
-        period = s.p if ba == "inner" else s.q
-        shared[role] = ba == bb and (ia - ib) % period == 0
+        ba, ia = getattr(alpha, role)
+        bb, ib = getattr(beta, role)
+        shared[role] = ba == bb and (ia - ib) % s.period(ba) == 0
         if shared[role]:
-            beta_aligned = _align(beta, role, ia)
+            beta_aligned = beta.aligned(role, ia)
             if _germ_key(beta_aligned, role) <= _germ_key(alpha, role):
                 follows = False
     return EndpointRelation(shared["start"], shared["end"], follows)
@@ -167,7 +151,7 @@ def exceptional_intersection(alpha: Curve, beta: Curve) -> Optional[CrossingWitn
     witnesses = positive_crossings(alpha, beta)
     if not witnesses:
         return None
-    if positive_int(move(alpha, [MOVE_S, MOVE_E]), beta) != 0:
+    if positive_int(alpha.se_shifted(1), beta) != 0:
         return None
     if len(witnesses) != 1:
         raise InternalInvariantViolation(

@@ -21,14 +21,10 @@ from .core import (
     Bridging,
     Curve,
     InnerPeripheral,
-    MOVE_E,
-    MOVE_E_INV,
-    MOVE_S,
-    MOVE_S_INV,
     OuterPeripheral,
     Surface,
+    connector,
     is_arc,
-    move,
 )
 from .errors import (
     InternalInvariantViolation,
@@ -165,19 +161,6 @@ def bizley_count(p: int, q: int) -> int:
     return count
 
 
-def bizley_count_literal_binomial(p: int, q: int) -> int:
-    """Same formula with plain binomial atoms; kept to document its failure."""
-    d = math.gcd(p, q)
-    total = Fraction(0)
-    for a in _partitions(d):
-        term = Fraction(1)
-        for part, count in a.items():
-            k, l = part * p // d, part * q // d
-            term *= Fraction(math.comb(k + l, k)) ** count / math.factorial(count)
-        total += term
-    return int(total)
-
-
 # ---------------------------------------------------------------------------
 # Bundle triangulations <-> lattice paths.
 # ---------------------------------------------------------------------------
@@ -227,14 +210,7 @@ def _unfold_staircase(t: Triangulation) -> List[Tuple[int, int]]:
 
 def se_shift(t: Triangulation, k: int) -> Triangulation:
     """Simultaneous start/end shift of every member, k times."""
-    ops = [MOVE_S, MOVE_E] if k >= 0 else [MOVE_S_INV, MOVE_E_INV]
-    arcs = []
-    for arc in t.arcs:
-        c = arc
-        for _ in range(abs(k)):
-            c = move(c, ops)
-        arcs.append(c)
-    return Triangulation(t.surface, frozenset(arcs))
+    return Triangulation(t.surface, frozenset(arc.se_shifted(k) for arc in t.arcs))
 
 
 def canonical_bundle_rep(t: Triangulation) -> Triangulation:
@@ -367,14 +343,13 @@ def _polygon_triangulations(vertices: Sequence):
         )
 
 
-def _chord_to_arc(s: Surface, v1, v2) -> Curve:
-    (b1, i1), (b2, i2) = v1, v2
-    if b1 == b2:
-        a, b = sorted((i1, i2))
-        return InnerPeripheral(s, a, b) if b1 == "inner" else OuterPeripheral(s, a, b)
-    inner = i1 if b1 == "inner" else i2
-    outer = i2 if b1 == "inner" else i1
-    return Bridging(s, inner, outer)
+def _glued_triangulations(s: Surface, anchors: List[Curve], inside, outside):
+    """The anchors plus any triangulations of the two polygons they cut out."""
+    for chords_in in _polygon_triangulations(tuple(inside)):
+        arcs_in = [connector(s, v1, v2) for v1, v2 in chords_in]
+        for chords_out in _polygon_triangulations(tuple(outside)):
+            arcs_out = [connector(s, v1, v2) for v1, v2 in chords_out]
+            yield frozenset(anchors) | frozenset(arcs_in) | frozenset(arcs_out)
 
 
 def _plain_family(s: Surface, a: int, b: int):
@@ -387,11 +362,7 @@ def _plain_family(s: Surface, a: int, b: int):
     # Region outside: inner 0..p over outer b..a+q.
     outside = [("inner", i) for i in range(0, s.p + 1)]
     outside += [("outer", j) for j in range(b, a + s.q + 1)][::-1]
-    for chords_in in _polygon_triangulations(tuple(inside)):
-        arcs_in = [_chord_to_arc(s, v1, v2) for v1, v2 in chords_in]
-        for chords_out in _polygon_triangulations(tuple(outside)):
-            arcs_out = [_chord_to_arc(s, v1, v2) for v1, v2 in chords_out]
-            yield frozenset(anchors) | frozenset(arcs_in) | frozenset(arcs_out)
+    yield from _glued_triangulations(s, anchors, inside, outside)
 
 
 def _primed_family(s: Surface, a: int, b: int):
@@ -402,11 +373,7 @@ def _primed_family(s: Surface, a: int, b: int):
     inside = [("inner", i) for i in range(0, b + 1)]
     outside = [("outer", j) for j in range(a, a + s.q + 1)]
     outside += [("inner", i) for i in range(b, s.p + 1)][::-1]
-    for chords_in in _polygon_triangulations(tuple(inside)):
-        arcs_in = [_chord_to_arc(s, v1, v2) for v1, v2 in chords_in]
-        for chords_out in _polygon_triangulations(tuple(outside)):
-            arcs_out = [_chord_to_arc(s, v1, v2) for v1, v2 in chords_out]
-            yield frozenset(anchors) | frozenset(arcs_in) | frozenset(arcs_out)
+    yield from _glued_triangulations(s, anchors, inside, outside)
 
 
 def enumerate_anchored_triangulations(s: Surface) -> List[Triangulation]:

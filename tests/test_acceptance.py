@@ -57,7 +57,6 @@ from wplarcs.homext import (
 )
 from wplarcs.tilting import (
     bizley_count,
-    bizley_count_literal_binomial,
     census,
     enumerate_anchored_triangulations,
     enumerate_lattice_paths,
@@ -69,6 +68,7 @@ from wplarcs.tilting import (
     triangulation,
 )
 
+from bizley_literal import bizley_count_literal_binomial
 from conftest import window_arcs, window_curves
 from algebra_oracle import algebraic_left_mutation, algebraic_right_mutation
 

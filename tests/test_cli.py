@@ -165,6 +165,23 @@ class TestCommands:
         )
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["phi", "--curve", '{"kind":"bridging","i":1.7,"j":"2"}'],
+            ["phi", "--sheaf", '{"kind":"line","x":[0.5,0,0]}'],
+            ["phi", "--sheaf", '{"kind":"tinf","i":true,"len":1}'],
+            ["braid", "--collection", '[{"kind":"bridging","i":0,"j":0}, '
+             '{"kind":"bridging","i":1,"j":0}]', "--word", "[true]"],
+        ],
+        ids=["float-and-string-index", "float-twist", "bool-index", "bool-letter"],
+    )
+    def test_non_integer_wire_values_rejected(self, capsys, argv):
+        code, out, err = run(capsys, "--p", "2", "--q", "3", *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ")
+
     def test_determinism(self, capsys):
         args = ["--p", "2", "--q", "3", "--json", "census"]
         _, out1, _ = run(capsys, *args)

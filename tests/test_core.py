@@ -2,6 +2,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from wplarcs.core import (
+    INNER,
+    MOVE_E,
+    MOVE_E_INV,
+    MOVE_S,
+    MOVE_S_INV,
+    OUTER,
     Bridging,
     InnerPeripheral,
     Loop,
@@ -12,6 +18,7 @@ from wplarcs.core import (
     TorsionZero,
     ar_sequence,
     canonical,
+    connector,
     degree,
     dim_S,
     dualizing,
@@ -32,9 +39,14 @@ from wplarcs.core import (
     x2,
     zero,
 )
-from wplarcs.errors import InvalidCurve, OutOfScope, SurfaceMismatch
+from wplarcs.errors import (
+    InternalInvariantViolation,
+    InvalidCurve,
+    OutOfScope,
+    SurfaceMismatch,
+)
 
-from conftest import ACCEPT_SURFACES, window_arcs
+from conftest import ACCEPT_SURFACES, window_arcs, window_curves
 
 S23 = Surface(2, 3)
 
@@ -186,6 +198,93 @@ class TestMoves:
     def test_loop_rejected(self):
         with pytest.raises(OutOfScope):
             move(Loop(S23, 1, "t"), ["s"])
+
+    def test_collapse_checked_at_each_move(self):
+        # The net effect of the four moves is nothing, but the second one
+        # already collapses the curve.
+        with pytest.raises(InvalidCurve):
+            move(InnerPeripheral(S23, 0, 2), ["e-", "e-", "e", "e"])
+
+
+def _old_connector(s, p1, p2):
+    """The connector as homext, braid and tilting each wrote it before."""
+    (b1, i1), (b2, i2) = p1, p2
+    if b1 == b2:
+        a, b = sorted((i1, i2))
+        return InnerPeripheral(s, a, b) if b1 == "inner" else OuterPeripheral(s, a, b)
+    inner = i1 if b1 == "inner" else i2
+    outer = i2 if b1 == "inner" else i1
+    return Bridging(s, inner, outer)
+
+
+def _fields(curve):
+    return (curve.i, curve.j) if isinstance(curve, Bridging) else (curve.a, curve.b)
+
+
+BIG = 10**18
+SHIFTS = [0, 1, -1, 2, -7, 40, -40, BIG, -BIG, BIG - 1, 3 * BIG + 5]
+
+
+class TestEndpointModel:
+    @pytest.mark.parametrize("s", ACCEPT_SURFACES, ids=str)
+    def test_encoding_is_pinned(self, s):
+        # Cache keys and sorted orders depend on these exact values.
+        tags = {Bridging: (0, "B"), InnerPeripheral: (1, "IP"), OuterPeripheral: (2, "OP")}
+        for c in window_curves(s):
+            tag, name = tags[type(c)]
+            x, y = _fields(c)
+            assert c.key() == (tag, x, y)
+            assert repr(c) == f"{name}({x},{y})"
+            assert hash(c) == hash((s, x, y))
+            assert c == type(c)(s, x, y) and c != type(c)(s, x, y + 1)
+
+    @pytest.mark.parametrize("s", ACCEPT_SURFACES, ids=str)
+    def test_endpoints_and_periods(self, s):
+        assert (s.period(INNER), s.period(OUTER)) == (s.p, s.q)
+        for c in window_curves(s):
+            if isinstance(c, Bridging):
+                assert (c.start, c.end) == ((OUTER, c.j), (INNER, c.i))
+                assert 0 <= c.i < s.p
+            else:
+                side = INNER if isinstance(c, InnerPeripheral) else OUTER
+                assert (c.start, c.end) == ((side, c.a), (side, c.b))
+                assert 0 <= c.a < s.period(side) and c.span == c.b - c.a
+
+    @pytest.mark.parametrize("s", ACCEPT_SURFACES, ids=str)
+    def test_closed_form_shift_matches_repeated_moves(self, s):
+        for c in window_curves(s):
+            forward = backward = c
+            for k in range(1, 41):
+                forward = move(forward, [MOVE_S, MOVE_E])
+                backward = move(backward, [MOVE_S_INV, MOVE_E_INV])
+                assert c.se_shifted(k) == forward
+                assert c.se_shifted(-k) == backward
+
+    @pytest.mark.parametrize("s", ACCEPT_SURFACES, ids=str)
+    def test_shifts_and_translations_compose_at_huge_k(self, s):
+        for c in window_curves(s):
+            for k1 in SHIFTS:
+                shifted = c.se_shifted(k1)
+                assert type(shifted)(s, *_fields(shifted)) == shifted
+                for k2 in SHIFTS:
+                    assert shifted.se_shifted(k2) == c.se_shifted(k1 + k2)
+                lift = c.translated(k1)
+                assert lift.translated(-k1) == c
+                assert type(c)(s, *_fields(lift)) == c
+                assert lift.aligned("start", c.start[1]) == c
+                assert lift.aligned("end", c.end[1]) == c
+
+    @pytest.mark.parametrize("s", ACCEPT_SURFACES, ids=str)
+    def test_connector_matches_old_helpers(self, s):
+        points = [(INNER, i) for i in range(-2 * s.p, 2 * s.p + 1)]
+        points += [(OUTER, j) for j in range(-2 * s.q, 2 * s.q + 1)]
+        for p1 in points:
+            for p2 in points:
+                if p1 == p2:
+                    with pytest.raises(InternalInvariantViolation):
+                        connector(s, p1, p2)
+                else:
+                    assert connector(s, p1, p2) == _old_connector(s, p1, p2)
 
 
 class TestTwistAndTau:

@@ -9,7 +9,6 @@ from wplarcs.errors import InternalInvariantViolation, NotApplicable
 from wplarcs.tilting import (
     LatticePath,
     bizley_count,
-    bizley_count_literal_binomial,
     canonical_bundle_rep,
     catalan,
     census,
@@ -24,6 +23,8 @@ from wplarcs.tilting import (
     tilting_to_path,
     triangulation,
 )
+
+from bizley_literal import bizley_count_literal_binomial
 
 S23 = Surface(2, 3)
 
