@@ -38,7 +38,7 @@ from .errors import (
     NotApplicable,
     OutOfScope,
 )
-from .intersect import positive_crossings, positive_int
+from .intersect import _crossing_offsets, positive_int
 
 MONO = "mono"
 EPI = "epi"
@@ -85,12 +85,8 @@ def _tube_hom_count(top_x: int, len_x: int, top_y: int, len_y: int, rank: int) -
     # Maps factor as quotient-of-X onto submodule-of-Y; a length-t composite
     # exists iff top_x = top_y - len_y + t mod rank with 1 <= t <= min length.
     need = (top_x - top_y + len_y) % rank
-    count = 0
-    t = need if need != 0 else rank
-    while t <= min(len_x, len_y):
-        count += 1
-        t += rank
-    return count
+    t0 = need if need != 0 else rank
+    return max(0, (min(len_x, len_y) - t0) // rank + 1)
 
 
 def _line_to_tube_count(coeff: int, top: int, length: int, rank: int) -> int:
@@ -161,12 +157,13 @@ def classify_nonzero(X: SheafClass, Y: SheafClass) -> MapClass:
 
 
 def _unique_crossing_offset(c1, c2) -> int:
-    witnesses = positive_crossings(c1, c2)
-    if len(witnesses) != 1:
+    kmin, kmax, _ = _crossing_offsets(c1, c2)
+    if kmax != kmin:
         raise NotApplicable(
-            f"crossing hypothesis needs exactly one witness, found {len(witnesses)}"
+            "crossing hypothesis needs exactly one witness, "
+            f"found {max(0, kmax - kmin + 1)}"
         )
-    return witnesses[0].offset
+    return kmin
 
 
 def cokernel_of_mono(X: SheafClass, Y: SheafClass) -> Tuple[SheafClass, SheafClass]:

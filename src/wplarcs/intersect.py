@@ -5,6 +5,10 @@ pair (c1, c2) a crossing is positive when c2 crosses c1 from the right,
 i.e. det(dir c1, dir c2) > 0 at the crossing; the closed-form translate
 counts below were derived from that convention and shared endpoints never
 count (all inequalities strict).
+
+The translates of c2's lift that cross c1's positively form one interval
+of offsets, so a count is a subtraction: its cost is O(1) in the answer.
+Only :func:`positive_crossings` builds a witness per crossing.
 """
 
 from __future__ import annotations
@@ -38,56 +42,54 @@ class EndpointRelation:
     clockwise_follows: bool
 
 
-def _k_range(lo_num: int, lo_den: int, hi_num: int, hi_den: int) -> range:
-    """Integers k with lo_num/lo_den < k < hi_num/hi_den (positive denominators)."""
-    kmin = lo_num // lo_den + 1
-    kmax = -((-hi_num) // hi_den) - 1
-    return range(kmin, kmax + 1)
+def _crossing_offsets(c1: Curve, c2: Curve) -> Tuple[int, int, str]:
+    """(kmin, kmax, config): c2's lift translated by k turns crosses c1's
+    positively exactly for kmin <= k <= kmax (none when kmax < kmin).
 
-
-def positive_crossings(c1: Curve, c2: Curve) -> Tuple[CrossingWitness, ...]:
-    """Witnesses of the minimal positive crossings of the ordered pair (c1, c2)."""
+    Each bound is the nearest integer strictly inside a rational bound:
+    num // den + 1 is the least k > num/den and (num - 1) // den the
+    greatest k < num/den.
+    """
     if isinstance(c1, Loop) or isinstance(c2, Loop):
         raise OutOfScope("intersection numbers involving loops are out of scope")
     s = _check_same_surface(c1, c2)
     p, q = s.p, s.q
-
     if isinstance(c1, Bridging) and isinstance(c2, Bridging):
-        ks = _k_range(c1.j - c2.j, q, c1.i - c2.i, p)
-        return tuple(CrossingWitness(k, "bridging-bridging") for k in ks)
-
+        return (c1.j - c2.j) // q + 1, (c1.i - c2.i - 1) // p, "bridging-bridging"
     if isinstance(c1, InnerPeripheral) and isinstance(c2, Bridging):
-        ks = _k_range(c1.a - c2.i, p, c1.b - c2.i, p)
-        return tuple(CrossingWitness(k, "inner-bridging") for k in ks)
-
+        return (c1.a - c2.i) // p + 1, (c1.b - c2.i - 1) // p, "inner-bridging"
     if isinstance(c1, OuterPeripheral) and isinstance(c2, Bridging):
-        ks = _k_range(c1.a - c2.j, q, c1.b - c2.j, q)
-        return tuple(CrossingWitness(k, "outer-bridging") for k in ks)
-
+        return (c1.a - c2.j) // q + 1, (c1.b - c2.j - 1) // q, "outer-bridging"
     if isinstance(c1, InnerPeripheral) and isinstance(c2, InnerPeripheral):
-        ks = [
-            k
-            for k in _k_range(c1.a - c2.b, p, c1.b - c2.b, p)
-            if c2.a + k * p < c1.a
-        ]
-        return tuple(CrossingWitness(k, "inner-inner") for k in ks)
-
+        # c2's translate must also start before c1: c2.a + k*p < c1.a.
+        hi = min(c1.b - c2.b, c1.a - c2.a)
+        return (c1.a - c2.b) // p + 1, (hi - 1) // p, "inner-inner"
     if isinstance(c1, OuterPeripheral) and isinstance(c2, OuterPeripheral):
-        ks = [
-            k
-            for k in _k_range(c1.a - c2.a, q, c1.b - c2.a, q)
-            if c2.b + k * q > c1.b
-        ]
-        return tuple(CrossingWitness(k, "outer-outer") for k in ks)
-
+        # c2's translate must also end after c1: c2.b + k*q > c1.b.
+        lo = max(c1.a - c2.a, c1.b - c2.b)
+        return lo // q + 1, (c1.b - c2.a - 1) // q, "outer-outer"
     # Bridging never crosses a peripheral positively in this order, and the
     # two boundaries never meet.
-    return ()
+    return 0, -1, ""
+
+
+def positive_crossings(c1: Curve, c2: Curve) -> Tuple[CrossingWitness, ...]:
+    """Witnesses of the minimal positive crossings of the ordered pair (c1, c2).
+
+    The only function here that builds one witness per crossing, so its
+    cost grows with the answer; count with :func:`positive_int`.
+    """
+    kmin, kmax, config = _crossing_offsets(c1, c2)
+    return tuple(CrossingWitness(k, config) for k in range(kmin, kmax + 1))
 
 
 def positive_int(c1: Curve, c2: Curve) -> int:
-    """Minimal number of positive crossings of the ordered pair (c1, c2)."""
-    return len(positive_crossings(c1, c2))
+    """Minimal number of positive crossings of the ordered pair (c1, c2).
+
+    The length of the offset interval: O(1) in the answer, no witnesses.
+    """
+    kmin, kmax, _ = _crossing_offsets(c1, c2)
+    return max(0, kmax - kmin + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -148,12 +150,12 @@ def exceptional_intersection(alpha: Curve, beta: Curve) -> Optional[CrossingWitn
     shifted one step forward is disjoint; in that case the crossing is
     unique and alpha is peripheral.
     """
-    witnesses = positive_crossings(alpha, beta)
-    if not witnesses:
+    kmin, kmax, config = _crossing_offsets(alpha, beta)
+    if kmax < kmin:
         return None
     if positive_int(alpha.se_shifted(1), beta) != 0:
         return None
-    if len(witnesses) != 1:
+    if kmax != kmin:
         raise InternalInvariantViolation(
             "multiple crossings survived the shift test"
         )
@@ -161,4 +163,4 @@ def exceptional_intersection(alpha: Curve, beta: Curve) -> Optional[CrossingWitn
         raise InternalInvariantViolation(
             "a bridging first argument cannot carry an exceptional crossing"
         )
-    return witnesses[0]
+    return CrossingWitness(kmin, config)

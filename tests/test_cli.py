@@ -77,6 +77,23 @@ class TestCommands:
         assert code == 0
         assert out.strip() == "2"
 
+    def test_hom_ext_classify_at_degree_1e20(self, capsys):
+        low = '{"kind":"line","x":[0,0,0]}'
+        high = '{"kind":"line","x":[0,0,100000000000000000000]}'
+        base = ["--p", "2", "--q", "3", "--json"]
+        code, out, _ = run(capsys, *base, "hom", "--from", low, "--to", high)
+        assert code == 0
+        assert out.strip() == '{"dim": 100000000000000000001}'
+        code, out, _ = run(capsys, *base, "ext", "--from", high, "--to", low)
+        assert code == 0
+        assert out.strip() == '{"dim": 99999999999999999999}'
+        code, out, _ = run(capsys, *base, "classify", "--from", high, "--to", low)
+        assert code == 0
+        assert json.loads(out)["tag"] == "no-nonzero-map"
+        code, out, _ = run(capsys, *base[:4], "classify", "--from", high, "--to", low)
+        assert code == 0
+        assert out.strip() == "no-nonzero-map"
+
     def test_census_json(self, capsys):
         code, out, _ = run(capsys, "--p", "2", "--q", "3", "--json", "census")
         assert code == 0

@@ -25,6 +25,7 @@ from wplarcs.homext import (
     MIXED,
     MONO,
     NO_MAP,
+    _tube_hom_count,
     class_additivity_holds,
     classify_nonzero,
     cokernel_of_mono,
@@ -36,7 +37,8 @@ from wplarcs.homext import (
     kernel_of_epi,
 )
 
-from conftest import SMALL_SURFACES, window_arcs, window_curves
+from conftest import ACCEPT_SURFACES, SMALL_SURFACES, window_arcs, window_curves
+from tube_literal import tube_hom_count_literal
 
 S23 = Surface(2, 3)
 O = structure_sheaf(S23)
@@ -91,6 +93,15 @@ class TestDimensions:
     def test_oracle_undefined_shapes(self):
         with pytest.raises(NotApplicable):
             hom_dim_oracle(TorsionInf(S23, 0, 1), TorsionZero(S23, 0, 1))
+
+    @pytest.mark.parametrize("s", ACCEPT_SURFACES, ids=str)
+    def test_tube_count_closed_form_matches_literal(self, s):
+        for rank in (s.p, s.q):
+            classes = [(top, n) for top in range(rank) for n in range(1, 3 * rank + 1)]
+            for top_x, len_x in classes:
+                for top_y, len_y in classes:
+                    args = (top_x, len_x, top_y, len_y, rank)
+                    assert _tube_hom_count(*args) == tube_hom_count_literal(*args), args
 
 
 class TestExceptional:

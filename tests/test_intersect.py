@@ -1,16 +1,23 @@
+from types import SimpleNamespace
+
 import pytest
 
+from wplarcs import intersect
 from wplarcs.core import (
     Bridging,
     InnerPeripheral,
+    LineBundle,
     Loop,
     OuterPeripheral,
     Surface,
+    TorsionInf,
+    TorsionZero,
     move,
+    normal_form,
     phi,
 )
 from wplarcs.errors import OutOfScope
-from wplarcs.homext import hom_dim
+from wplarcs.homext import classify_nonzero, ext1_dim, hom_dim
 from wplarcs.intersect import (
     endpoint_relation,
     exceptional_intersection,
@@ -18,7 +25,7 @@ from wplarcs.intersect import (
     positive_int,
 )
 
-from conftest import SMALL_SURFACES, window_arcs, window_curves
+from conftest import ACCEPT_SURFACES, SMALL_SURFACES, window_arcs, window_curves
 from geom_oracle import brute_positive_int
 
 S23 = Surface(2, 3)
@@ -172,3 +179,72 @@ class TestExceptionalIntersection:
                 if w is not None:
                     assert positive_int(a, b) == 1
                     assert not isinstance(a, Bridging)
+
+
+HUGE = 10**18
+
+
+class TestCostContract:
+    """Counting builds no crossing witnesses.
+
+    A structural check rather than a timing one: CrossingWitness is
+    replaced by a subclass that records each construction.
+    """
+
+    @pytest.fixture
+    def witnesses(self, monkeypatch):
+        """Counts witness constructions; one past `limit` fails at once, so
+        a count that builds witnesses fails instead of running for ever."""
+        log = SimpleNamespace(count=0, limit=0)
+
+        class CountingWitness(intersect.CrossingWitness):
+            def __init__(self, offset, config):
+                log.count += 1
+                assert log.count <= log.limit, "crossing witness built"
+                super().__init__(offset, config)
+
+        monkeypatch.setattr(intersect, "CrossingWitness", CountingWitness)
+        return log
+
+    @pytest.mark.parametrize("s", [S23, Surface(3, 4), Surface(5, 6)], ids=str)
+    def test_hom_ext_classify_build_no_witness_at_huge_gaps(self, s, witnesses):
+        low = LineBundle(s, normal_form(0, 0, 0, s))
+        high = LineBundle(s, normal_form(0, 0, HUGE, s))
+        long_inner, short_inner = TorsionInf(s, 0, HUGE), TorsionInf(s, 1, HUGE // 2)
+        long_outer = TorsionZero(s, 0, HUGE)
+        for X, Y in [
+            (low, high),
+            (high, low),
+            (low, long_inner),
+            (long_outer, low),
+            (long_inner, short_inner),
+        ]:
+            hom_dim(X, Y)
+            ext1_dim(X, Y)
+            classify_nonzero(X, Y)
+        assert hom_dim(low, high) == HUGE + 1
+        assert ext1_dim(high, low) == HUGE - 1
+        assert witnesses.count == 0
+
+    @pytest.mark.parametrize("s", ACCEPT_SURFACES, ids=str)
+    def test_exceptional_intersection_builds_at_most_one(self, s, witnesses):
+        witnesses.limit = 1
+        curves = window_curves(s, turns=2, max_span_turns=2)
+        curves += [InnerPeripheral(s, 0, HUGE), OuterPeripheral(s, 0, HUGE)]
+        for a in curves:
+            for b in curves:
+                witnesses.count = 0
+                w = exceptional_intersection(a, b)
+                assert witnesses.count == (w is not None), (a, b)
+
+    @pytest.mark.parametrize("s", ACCEPT_SURFACES, ids=str)
+    def test_count_is_the_number_of_witnesses(self, s):
+        curves = window_curves(s, 3, 3)
+        for a in curves:
+            for b in curves:
+                assert positive_int(a, b) == len(positive_crossings(a, b)), (a, b)
+
+    def test_count_beyond_machine_integers(self):
+        # Offsets 0 .. 10**20 - 1 carry the bridging arc's end into (0, 2*10**20).
+        wide = InnerPeripheral(S23, 0, 2 * 10**20)
+        assert positive_int(wide, Bridging(S23, 1, 0)) == 10**20
