@@ -1,9 +1,14 @@
 """Exceptional pairs, ordered collections, external points and completion.
 
+Collections are decided on the arcs alone: for arcs alpha, beta the pair
+(phi(alpha), phi(beta)) is exceptional iff Int+(beta, alpha) = 0 (Ext^1)
+and Int+(alpha se-shifted once, beta) = 0 (Hom, by Serre duality).
 A set of arcs is an exceptional collection exactly when every unordered
 pair passes the pair test in at least one direction and the precedence
 digraph (edges forced by one-directional pairs) is acyclic; admissible
-orders are its topological orders.
+orders are its topological orders.  Completion's bridging window is
+anchored at the collection's bridging arcs (the origin if it has none), so
+its cost does not grow with their winding.
 """
 
 from __future__ import annotations
@@ -25,7 +30,6 @@ from .core import (
     Zero,
     _check_same_surface,
     is_arc,
-    phi,
 )
 from .errors import (
     InternalInvariantViolation,
@@ -67,10 +71,14 @@ _PAIR_CACHE: Dict[tuple, bool] = {}
 
 
 def _arc_pair_ok(alpha: Curve, beta: Curve) -> bool:
+    """(E, F) = (phi(alpha), phi(beta)) is an exceptional pair: the counts
+    are Ext^1(F, E) and, through the se-shift (Serre duality), Hom(F, E)."""
     key = (alpha.surface, alpha.key(), beta.key())
     hit = _PAIR_CACHE.get(key)
     if hit is None:
-        hit = is_exceptional_pair(phi(alpha), phi(beta))
+        hit = alpha.is_arc() and beta.is_arc() and (
+            positive_int(beta, alpha) == 0 == positive_int(alpha.se_shifted(1), beta)
+        )
         _PAIR_CACHE[key] = hit
     return hit
 
@@ -148,7 +156,7 @@ def order_collection(collection: ArcCollection) -> Optional[OrderedCollection]:
     """
     arcs = collection.sorted_arcs()
     for a in arcs:
-        if not is_exceptional(phi(a)):
+        if not a.is_arc():
             return None
     edges = _precedence_edges(arcs)
     if edges is None:
@@ -303,10 +311,7 @@ def _peripheral_pool(s: Surface) -> List[Curve]:
 
 
 def _bridging_pool(s: Surface, arcs: Iterable[Curve], widen: int) -> List[Curve]:
-    starts = [0]
-    for arc in arcs:
-        if isinstance(arc, Bridging):
-            starts.append(arc.j)
+    starts = [a.j for a in arcs if isinstance(a, Bridging)] or [0]
     lo = min(starts) - (widen + 1) * s.q
     hi = max(starts) + (widen + 1) * s.q
     pool = [Bridging(s, i, j) for i in range(s.p) for j in range(lo, hi + 1)]

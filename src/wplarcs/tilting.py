@@ -139,7 +139,7 @@ def bizley_count(p: int, q: int) -> int:
     """Number of (p,q)-Dyck paths via the gcd-indexed exponential formula.
 
     The atoms are the coprime path counts binom(k+l, k)/(k+l); the result
-    is asserted integral and equal to direct enumeration.
+    is asserted integral (census and the tests compare it with enumeration).
     """
     d = math.gcd(p, q)
     total = Fraction(0)
@@ -152,13 +152,7 @@ def bizley_count(p: int, q: int) -> int:
         total += term
     if total.denominator != 1:
         raise InternalInvariantViolation("path-count formula gave a non-integer")
-    count = int(total)
-    enumerated = sum(1 for path in enumerate_lattice_paths(p, q) if is_dyck(path))
-    if count != enumerated:
-        raise InternalInvariantViolation(
-            f"formula {count} disagrees with enumeration {enumerated}"
-        )
-    return count
+    return int(total)
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,23 @@ def _ext_alg(E, F):
     return _hom_alg(F, tau(E))
 
 
+def _is_exceptional_alg(X):
+    """Line bundles, and tube torsion shorter than the tube's rank."""
+    if isinstance(X, LineBundle):
+        return True
+    tube = _tube_data(X)
+    return tube is not None and X.j < tube[1]
+
+
+def exceptional_pair_oracle(E, F):
+    """(E, F) is an exceptional pair: both exceptional, Hom(F, E) = 0 = Ext^1(F, E)."""
+    return (
+        _is_exceptional_alg(E)
+        and _is_exceptional_alg(F)
+        and _hom_alg(F, E) == 0 == _ext_alg(F, E)
+    )
+
+
 def _tube_data(X):
     if isinstance(X, TorsionInf):
         return ("inf", X.surface.p, X.i, X.j)

@@ -22,6 +22,7 @@ from wplarcs.core import (
     line_bundle,
     normal_form,
 )
+from wplarcs.exceptional import is_ordered_exceptional_collection
 
 S23 = Surface(2, 3)
 
@@ -93,6 +94,22 @@ class TestCommands:
         code, out, _ = run(capsys, *base[:4], "classify", "--from", high, "--to", low)
         assert code == 0
         assert out.strip() == "no-nonzero-map"
+
+    @pytest.mark.parametrize("j", [10**18, -(10**18)])
+    @pytest.mark.parametrize("p, q", [(2, 3), (4, 5)])
+    def test_complete_at_winding_1e18(self, capsys, p, q, j):
+        s = Surface(p, q)
+        seed = [Bridging(s, 0, j), OuterPeripheral(s, 1, 3)]
+        collection = json.dumps([print_curve(c) for c in seed])
+        code, out, _ = run(
+            capsys, "--p", str(p), "--q", str(q), "--json", "complete",
+            "--collection", collection,
+        )
+        assert code == 0
+        completed = parse_collection(s, json.loads(out)["collection"])
+        assert len(completed) == p + q
+        assert set(seed) <= set(completed)
+        assert is_ordered_exceptional_collection(completed)
 
     def test_census_json(self, capsys):
         code, out, _ = run(capsys, "--p", "2", "--q", "3", "--json", "census")

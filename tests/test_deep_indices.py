@@ -21,6 +21,7 @@ from wplarcs.core import (
     tau,
     tau_inv,
 )
+from wplarcs.exceptional import _arc_pair_ok, is_exceptional_pair
 from wplarcs.homext import (
     EPI,
     MIXED,
@@ -31,6 +32,8 @@ from wplarcs.homext import (
     hom_dim,
     hom_dim_oracle,
 )
+
+from algebra_oracle import exceptional_pair_oracle
 
 HUGE = 10**18
 SURFACES = [Surface(2, 3), Surface(3, 4), Surface(5, 6)]
@@ -126,6 +129,17 @@ class TestDeepDifferential:
         X, Y = data.draw(pairs(s, shape))
         cls = classify_nonzero(X, Y)
         assert (cls.tag, cls.same_object) == oracle_tag(X, Y)
+
+    @each_pair_shape
+    @deep
+    @given(data=st.data())
+    def test_exceptional_pair_matches_oracle(self, s, shape, data):
+        # Torsion as long as the rank or longer maps to a curve that is no
+        # arc, so the draws cover both sides of the arc check.
+        E, F = data.draw(pairs(s, shape))
+        expected = exceptional_pair_oracle(E, F)
+        assert _arc_pair_ok(phi_inv(E), phi_inv(F)) == expected
+        assert is_exceptional_pair(E, F) == expected
 
 
 each_kind = pytest.mark.parametrize(

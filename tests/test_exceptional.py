@@ -1,6 +1,9 @@
 import random
+import sys
 
 import pytest
+
+from wplarcs import braid, core, exceptional, homext
 
 from wplarcs.core import (
     Bridging,
@@ -14,8 +17,17 @@ from wplarcs.core import (
     structure_sheaf,
     x1,
 )
+from wplarcs.braid import (
+    apply_braid,
+    canonical_theta,
+    mutate_pair,
+    normalize_to_theta,
+    word,
+)
 from wplarcs.errors import NotApplicable
 from wplarcs.exceptional import (
+    _arc_pair_ok,
+    _bridging_pool,
     DISJOINT,
     EXCEPTIONAL_CROSSING,
     NOT_PAIR,
@@ -32,7 +44,8 @@ from wplarcs.exceptional import (
 )
 from wplarcs.homext import ext1_dim, hom_dim, is_exceptional
 
-from conftest import SMALL_SURFACES, window_arcs
+from algebra_oracle import exceptional_pair_oracle
+from conftest import ACCEPT_SURFACES, SMALL_SURFACES, window_arcs
 
 S23 = Surface(2, 3)
 O = structure_sheaf(S23)
@@ -243,3 +256,65 @@ class TestCompletion:
             outer_p = sum(1 for a in completed if isinstance(a, OuterPeripheral))
             bridging = sum(1 for a in completed if isinstance(a, Bridging))
             assert (inner_p, outer_p, bridging) == (s.p - k, s.q - l, k + l)
+
+
+class TestArcsAlone:
+    """Collections are decided and completed on the arcs, never on sheaves."""
+
+    @pytest.mark.parametrize(
+        "s", ACCEPT_SURFACES + [Surface(3, 4), Surface(4, 5)], ids=str
+    )
+    def test_pair_test_matches_curve_free_oracle(self, s, monkeypatch):
+        monkeypatch.setattr(exceptional, "_PAIR_CACHE", {})
+        arcs = window_arcs(s, turns=3)
+        sheaves = [phi(a) for a in arcs]
+        for a, E in zip(arcs, sheaves):
+            for b, F in zip(arcs, sheaves):
+                expected = exceptional_pair_oracle(E, F)
+                assert _arc_pair_ok(a, b) == expected, (a, b)
+                assert is_exceptional_pair(E, F) == expected, (a, b)
+
+    @pytest.mark.parametrize("kind", [InnerPeripheral, OuterPeripheral])
+    @pytest.mark.parametrize("j", [10**18, -(10**18)])
+    @pytest.mark.parametrize("s", [Surface(2, 3), Surface(4, 5)], ids=str)
+    def test_completion_at_huge_winding(self, s, j, kind):
+        seed = [Bridging(s, 0, j), kind(s, 1, 3)]
+        completed = complete_to_maximal(ArcCollection.of(s, seed))
+        assert len(completed) == s.rank
+        assert set(seed) <= set(completed)
+        assert is_ordered_exceptional_collection(completed)
+
+    @pytest.mark.parametrize("s", [Surface(2, 3), Surface(4, 5)], ids=str)
+    def test_bridging_pool_is_anchored_at_the_collection(self, s):
+        far = _bridging_pool(s, [Bridging(s, 0, 10**18)], 0)
+        assert len(far) == len(_bridging_pool(s, [Bridging(s, 0, 0)], 0))
+        assert Bridging(s, 0, 10**18) in far
+
+    def test_collections_build_no_sheaf(self, monkeypatch):
+        s = Surface(3, 4)
+        fan = canonical_theta(s)
+        arcs = apply_braid(fan, word(s.rank, 1, -3, 5, 2))
+        seed = [a for a in arcs if isinstance(a, Bridging)][:1]
+
+        def boom(*args, **kwargs):
+            raise AssertionError("a collection operation built a sheaf")
+
+        banned = (core.phi, core.phi_inv, homext.hom_dim, homext.ext1_dim)
+        for name, module in list(sys.modules.items()):
+            if name == "wplarcs" or name.startswith("wplarcs."):
+                for attr, value in list(vars(module).items()):
+                    if any(value is f for f in banned):
+                        monkeypatch.setattr(module, attr, boom)
+        monkeypatch.setattr(exceptional, "_PAIR_CACHE", {})
+        monkeypatch.setattr(braid, "_MUTATE_CACHE", {})
+        with pytest.raises(AssertionError):
+            is_exceptional_pair(O, O)
+
+        assert set(order_collection(ArcCollection.of(s, arcs))) == set(arcs)
+        assert is_ordered_exceptional_collection(arcs)
+        completed = complete_to_maximal(ArcCollection.of(s, seed))
+        assert len(completed) == s.rank and set(seed) <= set(completed)
+        assert mutate_pair(arcs[0], arcs[1], "left").is_arc()
+        back = apply_braid(arcs, word(s.rank, -2, -5, 3, -1))
+        assert tuple(back) == tuple(fan)
+        assert tuple(apply_braid(arcs, normalize_to_theta(arcs))) == tuple(fan)
