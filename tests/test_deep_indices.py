@@ -1,14 +1,17 @@
-"""Differential tests at degrees, tops and lengths up to 10**18.
+"""Differential tests at degrees, tops, lengths and shifts up to 10**18.
 
 The other tests stay within windows of about two turns.  Here Hypothesis
 draws line-line, line-tube and same-tube pairs anywhere up to 10**18 and
 compares the curve model with the algebraic oracle, which never looks at a
 curve.  Intersection counts are O(1) in their answer, so an answer of
-10**18 costs no more than an answer of 1.
+10**18 costs no more than an answer of 1.  Triangulations se-shifted by up
+to 10**18 steps return to their anchored and bundle representatives.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
+
+from wplarcs import tilting
 
 from wplarcs.core import (
     LineBundle,
@@ -175,3 +178,51 @@ class TestDeepRoundTrips:
         for _ in range(abs(k)):
             Y = tau_inv(Y) if k > 0 else tau(Y)
         assert phi_inv(Y) == phi_inv(X).se_shifted(k)
+
+
+@st.composite
+def anchored_triangulations(draw, s):
+    """A member of an anchored family, drawn without enumerating the surface.
+
+    The family's member at a drawn index, or its last one when it is smaller.
+    """
+    if draw(st.booleans()):
+        a = draw(st.integers(1 - s.q, 0))
+        family = tilting._plain_family(s, a, draw(st.integers(1, a + s.q)))
+    else:
+        a = draw(st.integers(1 - s.p, 0))
+        family = tilting._primed_family(s, a, draw(st.integers(1 - a, s.p)))
+    index = draw(st.integers(0, 63))
+    for arcs, _ in zip(family, range(index + 1)):
+        pass
+    return tilting.triangulation(s, arcs)
+
+
+@st.composite
+def bundle_triangulations(draw, s):
+    """The all-bridging triangulation of a drawn lattice path to (p, q)."""
+    steps = draw(st.permutations([(1, 0)] * s.p + [(0, 1)] * s.q))
+    points = [(0, 0)]
+    for dx, dy in steps:
+        points.append((points[-1][0] + dx, points[-1][1] + dy))
+    return tilting.path_to_tilting(s, tilting.LatticePath(tuple(points)))
+
+
+each_surface = pytest.mark.parametrize("s", SURFACES, ids=str)
+
+
+class TestDeepShifts:
+    @each_surface
+    @deep
+    @given(data=st.data(), k=indices)
+    def test_se_canonical_undoes_any_shift(self, s, data, k):
+        t = data.draw(anchored_triangulations(s))
+        assert tilting.se_canonical(tilting.se_shift(t, k)) == t
+
+    @each_surface
+    @deep
+    @given(data=st.data(), k=indices)
+    def test_bundle_representatives_undo_any_shift(self, s, data, k):
+        b = data.draw(bundle_triangulations(s))
+        assert tilting.canonical_bundle_rep(tilting.se_shift(b, k)) == b
+        assert tilting.se_canonical(tilting.se_shift(b, k)) == b

@@ -5,8 +5,11 @@ import pytest
 
 from wplarcs.core import Bridging, InnerPeripheral, Surface, degree, normal_form, phi
 from wplarcs.braid import canonical_theta
-from wplarcs.errors import InternalInvariantViolation, NotApplicable
+from wplarcs import tilting
+from wplarcs.cli import main
+from wplarcs.errors import InternalInvariantViolation, InvalidArguments, NotApplicable
 from wplarcs.tilting import (
+    MAX_SHEAF_CLASSES,
     LatticePath,
     bizley_count,
     canonical_bundle_rep,
@@ -25,6 +28,7 @@ from wplarcs.tilting import (
 )
 
 from bizley_literal import bizley_count_literal_binomial
+from se_canonical_literal import scan_bound, se_canonical_literal
 
 S23 = Surface(2, 3)
 
@@ -186,6 +190,78 @@ class TestSeCanonical:
             assert se_canonical(t) == t
 
 
+SHIFT_SURFACES = [Surface(1, 2), Surface(2, 3), Surface(3, 3), Surface(2, 5)]
+ANCHORED = {s: enumerate_anchored_triangulations(s) for s in SHIFT_SURFACES}
+
+
+def shift_range(s):
+    """Every k with |k| <= 3 (p + q) max(p, q), far past the old scan window."""
+    reach = 3 * s.rank * max(s.p, s.q)
+    return range(-reach, reach + 1)
+
+
+class TestSeCanonicalShifts:
+    @pytest.mark.parametrize("s", SHIFT_SURFACES, ids=str)
+    def test_large_shifts_return_to_the_anchor(self, s):
+        for t in ANCHORED[s]:
+            for k in shift_range(s):
+                assert se_canonical(se_shift(t, k)) == t
+
+    @pytest.mark.parametrize("s", SHIFT_SURFACES, ids=str)
+    def test_matches_the_old_scan_where_it_answers(self, s):
+        compared = 0
+        for t in ANCHORED[s]:
+            for k in shift_range(s):
+                shifted = se_shift(t, k)
+                # The scan tries shifts -bound..bound of its input, and the
+                # anchored one is the shift by -k.
+                if abs(k) > scan_bound(shifted):
+                    continue
+                assert se_canonical_literal(shifted) == se_canonical(shifted)
+                compared += 1
+        assert compared >= len(ANCHORED[s]) * (2 * s.rank + 1)
+
+    def test_old_scan_misses_large_shifts(self):
+        s = Surface(3, 4)
+        t = triangulation(s, canonical_theta(s))
+        with pytest.raises(InternalInvariantViolation):
+            se_canonical_literal(se_shift(t, 50))
+        assert se_canonical(se_shift(t, 50)) == t
+
+    @pytest.mark.parametrize("k", [0, 50, -50, 10**18, -(10**18)])
+    def test_one_shifted_triangulation_per_call(self, monkeypatch, k):
+        s = Surface(3, 4)
+        calls = []
+        real_shift = tilting.se_shift
+
+        def counting_shift(t, k):
+            calls.append(k)
+            return real_shift(t, k)
+
+        for t in enumerate_anchored_triangulations(s)[::50]:
+            shifted = se_shift(t, k)
+            calls.clear()
+            monkeypatch.setattr(tilting, "se_shift", counting_shift)
+            assert se_canonical(shifted) == t
+            monkeypatch.undo()
+            assert calls == [-k]
+
+    def test_two_anchored_shifts_rejected(self):
+        # The union of an anchored triangulation and a shift of it has two
+        # anchored shifts; se_canonical refuses to pick one.
+        s = Surface(2, 3)
+        t = triangulation(s, canonical_theta(s))
+        both = tilting.Triangulation(s, t.arcs | se_shift(t, 7).arcs)
+        with pytest.raises(InternalInvariantViolation):
+            se_canonical(both)
+
+    def test_no_anchored_shift_rejected(self):
+        s = Surface(2, 3)
+        lone = tilting.Triangulation(s, frozenset([Bridging(s, 0, 0)]))
+        with pytest.raises(InternalInvariantViolation):
+            se_canonical(lone)
+
+
 class TestCensus:
     @pytest.mark.parametrize(
         "p,q,expected",
@@ -206,6 +282,28 @@ class TestCensus:
     def test_guard(self):
         with pytest.raises(Exception):
             census(7, 7)
+
+    def test_size_guard(self):
+        with pytest.raises(InvalidArguments):
+            census(6, 6)
+        for p, q in [(5, 6), (1, 10), (6, 6)]:
+            assert sheaf_class_formula(p, q) > MAX_SHEAF_CLASSES
+            with pytest.raises(InvalidArguments):
+                enumerate_anchored_triangulations(Surface(p, q))
+        # Refused before the formula is evaluated on huge numbers.
+        with pytest.raises(InvalidArguments):
+            census(10**18, 3)
+        # The largest surfaces the guard admits, at p + q = 10.
+        for p, q in [(5, 5), (1, 9)]:
+            assert sheaf_class_formula(p, q) <= MAX_SHEAF_CLASSES
+            tilting._check_enumeration_size(Surface(p, q))
+
+    def test_cli_classes_guarded(self, capsys):
+        code = main(["--p", "6", "--q", "6", "tilting", "classes"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
 
     @pytest.mark.parametrize("p", range(1, 4))
     @pytest.mark.parametrize("q", range(1, 4))
