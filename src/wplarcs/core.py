@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Iterable, Sequence, Tuple, Union
+from typing import Iterable, Tuple, Union
 
 from .errors import (
     InternalInvariantViolation,
@@ -539,11 +539,6 @@ def connector(surface: Surface, p1, p2) -> Curve:
     return cls(surface, min(i1, i2), max(i1, i2))
 
 
-def move_all(curves: Iterable[Curve], ops: Sequence[str]) -> tuple:
-    """Apply the same move sequence to every member."""
-    return tuple(move(c, ops) for c in curves)
-
-
 # ---------------------------------------------------------------------------
 # Twists, the AR translate, and AR sequences.
 # ---------------------------------------------------------------------------
@@ -564,16 +559,14 @@ def twist(sheaf: SheafClass, x: LElt) -> SheafClass:
     return sheaf
 
 
-def tau(sheaf: SheafClass, direction: str = "forward") -> SheafClass:
-    """AR translate: twist by the dualizing element ('forward') or undo it."""
-    if direction not in ("forward", "inverse"):
-        raise ValueError("direction must be 'forward' or 'inverse'")
-    w = dualizing(sheaf.surface)
-    return twist(sheaf, w if direction == "forward" else -w)
+def tau(sheaf: SheafClass) -> SheafClass:
+    """AR translate: twist by the dualizing element."""
+    return twist(sheaf, dualizing(sheaf.surface))
 
 
 def tau_inv(sheaf: SheafClass) -> SheafClass:
-    return tau(sheaf, "inverse")
+    """Inverse AR translate: twist by the negated dualizing element."""
+    return twist(sheaf, -dualizing(sheaf.surface))
 
 
 def ar_sequence(sheaf: SheafClass):

@@ -267,7 +267,12 @@ def adjust_endpoints(collection: ArcCollection, arc: Bridging) -> Bridging:
 
 
 def _can_add(arcs: List[Curve], edges, candidate: Curve) -> Optional[list]:
-    """New edge rows if `candidate` keeps the collection exceptional, else None."""
+    """New edge rows if `candidate` keeps the collection exceptional, else None.
+
+    The digraph `edges` is acyclic, so the candidate closes a cycle exactly
+    when one of its successors already reaches one of its predecessors.
+    """
+    n = len(arcs)
     new_edges = []
     for idx, arc in enumerate(arcs):
         fwd = _arc_pair_ok(arc, candidate)
@@ -275,30 +280,19 @@ def _can_add(arcs: List[Curve], edges, candidate: Curve) -> Optional[list]:
         if not (fwd or bwd):
             return None
         if fwd and not bwd:
-            new_edges.append((idx, len(arcs)))
+            new_edges.append((idx, n))
         elif bwd and not fwd:
-            new_edges.append((len(arcs), idx))
-    # Cycle check on the extended digraph.
-    adj = {i: set(v) for i, v in edges.items()}
-    adj[len(arcs)] = set()
-    for u, v in new_edges:
-        adj[u].add(v)
-    seen: Dict[int, int] = {}
-
-    def dfs(u: int) -> bool:
-        seen[u] = 1
-        for v in adj[u]:
-            state = seen.get(v)
-            if state == 1:
-                return False
-            if state is None and not dfs(v):
-                return False
-        seen[u] = 2
-        return True
-
-    for node in adj:
-        if seen.get(node) is None and not dfs(node):
+            new_edges.append((n, idx))
+    preds = {u for u, v in new_edges if v == n}
+    stack = [v for u, v in new_edges if u == n]
+    seen = set(stack)
+    while stack and preds:
+        u = stack.pop()
+        if u in preds:
             return None
+        for v in edges[u] - seen:
+            seen.add(v)
+            stack.append(v)
     return new_edges
 
 

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from wplarcs import braid
 from wplarcs.core import (
     Bridging,
     InnerPeripheral,
@@ -12,6 +13,7 @@ from wplarcs.core import (
 )
 from wplarcs.braid import (
     BraidWord,
+    _apply_letter,
     apply_braid,
     canonical_theta,
     full_twist_word,
@@ -30,8 +32,12 @@ from wplarcs.exceptional import (
     ArcCollection,
 )
 
-from conftest import window_arcs
-from algebra_oracle import algebraic_left_mutation, algebraic_right_mutation
+from conftest import ACCEPT_SURFACES, window_arcs
+from algebra_oracle import (
+    algebraic_left_mutation,
+    algebraic_right_mutation,
+    exceptional_pair_oracle,
+)
 
 S23 = Surface(2, 3)
 
@@ -222,6 +228,68 @@ class TestApplyBraid:
             assert any(isinstance(a, Bridging) for a in out) == has_line
 
 
+def collections_near_fan(s, letters=3, shift=3):
+    """Every collection reached from the fan se-shifted by `shift` in at
+    most `letters` letters."""
+    start = se_shift_collection(canonical_theta(s), shift)
+    seen = {start}
+    frontier = [start]
+    for _ in range(letters):
+        new = []
+        for L in frontier:
+            for idx in range(1, s.rank):
+                for sign in (1, -1):
+                    nxt = _apply_letter(L, idx, sign)
+                    if nxt not in seen:
+                        seen.add(nxt)
+                        new.append(nxt)
+        frontier = new
+    return seen
+
+
+class TestLetterClosure:
+    """apply_braid checks its input only: every letter must map an ordered
+    exceptional collection to another one."""
+
+    @pytest.mark.parametrize("s", ACCEPT_SURFACES + [Surface(3, 4)], ids=str)
+    def test_every_letter_keeps_collections_exceptional(self, s):
+        r = s.rank
+        for L in collections_near_fan(s):
+            for idx in range(1, r):
+                for sign in (1, -1):
+                    out = _apply_letter(L, idx, sign)
+                    assert is_ordered_exceptional_collection(out), (L, idx, sign)
+                    sheaves = [phi(a) for a in out]
+                    for i in range(r):
+                        for j in range(i + 1, r):
+                            assert exceptional_pair_oracle(sheaves[i], sheaves[j]), (
+                                L, idx, sign, i, j,
+                            )
+
+    def test_apply_braid_checks_its_input_once(self, monkeypatch):
+        calls = []
+
+        def counting(arcs):
+            calls.append(arcs)
+            return is_ordered_exceptional_collection(arcs)
+
+        monkeypatch.setattr(braid, "is_ordered_exceptional_collection", counting)
+        s = Surface(3, 4)
+        r = s.rank
+        rng = random.Random(11)
+        w = word(r, *(rng.choice([1, -1]) * rng.randint(1, r - 1) for _ in range(200)))
+        fan = canonical_theta(s)
+        out = apply_braid(fan, w)
+        assert len(calls) == 1
+        calls.clear()
+        assert apply_braid(fan, w, validate=False) == out
+        assert calls == []
+
+    def test_validate_rejects_the_input(self):
+        with pytest.raises(NotExceptional):
+            apply_braid(tuple(reversed(canonical_theta(S23))), word(5, 1))
+
+
 class TestTheta:
     def test_fan_example(self):
         assert theta(S23, 0, 0, 2, 2) == (
@@ -338,6 +406,35 @@ class TestNormalize:
             L = se_shift_collection(L, rng.randint(-2, 2))
             w = normalize_to_theta(L)
             assert apply_braid(L, w, validate=False) == th
+
+
+class TestNormalizeLongShifts:
+    """The shift part of a normalising word is built in one step."""
+
+    @pytest.mark.parametrize("m", [10**4, -(10**4)])
+    def test_se_shift_is_a_twist_power(self, m):
+        twist = full_twist_word(S23)
+        if m < 0:
+            twist = twist.inverse()
+        w = normalize_to_theta(se_shift_collection(canonical_theta(S23), m))
+        assert w == BraidWord(S23.rank, twist.letters * abs(m))
+
+    def test_word_constructions_do_not_grow_with_the_shift(self, monkeypatch):
+        built = []
+        post_init = BraidWord.__post_init__
+
+        def counting(self):
+            built.append(len(self.letters))
+            post_init(self)
+
+        monkeypatch.setattr(BraidWord, "__post_init__", counting)
+        counts = {}
+        for m in (10, 1000, -10, -1000):
+            built.clear()
+            normalize_to_theta(se_shift_collection(canonical_theta(S23), m))
+            counts[m] = len(built)
+        assert counts[10] == counts[1000] and counts[-10] == counts[-1000], counts
+        assert max(counts.values()) <= 8, counts
 
 
 class TestOrderingStability:

@@ -35,6 +35,7 @@ from wplarcs.homext import (
     hom_dim,
     hom_dim_oracle,
 )
+from wplarcs.intersect import positive_int
 
 from algebra_oracle import exceptional_pair_oracle
 
@@ -117,6 +118,15 @@ class TestDeepDifferential:
     def test_hom_matches_oracle(self, s, shape, data):
         X, Y = data.draw(pairs(s, shape))
         assert hom_dim(X, Y) == hom_dim_oracle(X, Y)
+
+    @each_pair_shape
+    @deep
+    @given(data=st.data())
+    def test_serre_routes_agree(self, s, shape, data):
+        # hom_dim reads the first route only.
+        X, Y = data.draw(pairs(s, shape))
+        gx, gy = phi_inv(X), phi_inv(Y)
+        assert positive_int(gy.se_shifted(1), gx) == positive_int(gy, gx.se_shifted(-1))
 
     @each_pair_shape
     @deep

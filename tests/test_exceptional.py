@@ -28,6 +28,8 @@ from wplarcs.errors import NotApplicable
 from wplarcs.exceptional import (
     _arc_pair_ok,
     _bridging_pool,
+    _can_add,
+    _precedence_edges,
     DISJOINT,
     EXCEPTIONAL_CROSSING,
     NOT_PAIR,
@@ -256,6 +258,36 @@ class TestCompletion:
             outer_p = sum(1 for a in completed if isinstance(a, OuterPeripheral))
             bridging = sum(1 for a in completed if isinstance(a, Bridging))
             assert (inner_p, outer_p, bridging) == (s.p - k, s.q - l, k + l)
+
+
+class TestCanAdd:
+    @pytest.mark.parametrize("s", ACCEPT_SURFACES + [Surface(3, 4)], ids=str)
+    def test_matches_ordering_the_enlarged_set(self, s):
+        """A window arc can be added exactly when the enlarged set orders."""
+        rng = random.Random(31)
+        r = s.rank
+        fan = canonical_theta(s)
+        window = window_arcs(s, turns=1)
+        cycles = 0  # every pair passes one way, yet the order has a cycle
+        for _ in range(8):
+            letters = [
+                rng.choice([1, -1]) * rng.randint(1, r - 1)
+                for _ in range(rng.randint(0, 6))
+            ]
+            L = apply_braid(fan, word(r, *letters), validate=False)
+            subset = rng.sample(L, rng.randint(1, r))
+            arcs = list(order_collection(ArcCollection.of(s, subset)))
+            edges = _precedence_edges(arcs)
+            for cand in window:
+                if cand in arcs:
+                    continue
+                added = _can_add(arcs, edges, cand)
+                pairs_pass = _precedence_edges(arcs + [cand]) is not None
+                ordered = order_collection(ArcCollection.of(s, arcs + [cand]))
+                assert (added is not None) == (ordered is not None), (arcs, cand)
+                cycles += pairs_pass and ordered is None
+        if r >= 4:
+            assert cycles > 0
 
 
 class TestArcsAlone:

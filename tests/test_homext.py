@@ -1,5 +1,6 @@
 import pytest
 
+from wplarcs import homext
 from wplarcs.core import (
     Bridging,
     InnerPeripheral,
@@ -13,6 +14,7 @@ from wplarcs.core import (
     line_bundle,
     normal_form,
     phi,
+    phi_inv,
     structure_sheaf,
     tau,
     x1,
@@ -36,6 +38,7 @@ from wplarcs.homext import (
     is_exceptional,
     kernel_of_epi,
 )
+from wplarcs.intersect import positive_int
 
 from conftest import ACCEPT_SURFACES, SMALL_SURFACES, window_arcs, window_curves
 from tube_literal import tube_hom_count_literal
@@ -102,6 +105,35 @@ class TestDimensions:
                 for top_y, len_y in classes:
                     args = (top_x, len_x, top_y, len_y, rank)
                     assert _tube_hom_count(*args) == tube_hom_count_literal(*args), args
+
+
+class TestSerreRoutes:
+    """hom_dim reads one Serre-dual route; both routes agree here."""
+
+    @pytest.mark.parametrize("s", ACCEPT_SURFACES + [Surface(3, 4)], ids=str)
+    def test_routes_agree(self, s):
+        curves = window_curves(s, turns=2, max_span_turns=2)
+        for gx in curves:
+            for gy in curves:
+                assert positive_int(gy.se_shifted(1), gx) == positive_int(
+                    gy, gx.se_shifted(-1)
+                ), (gx, gy)
+
+    def test_one_intersection_count_per_call(self, monkeypatch):
+        calls = []
+
+        def counting(c1, c2):
+            calls.append((c1, c2))
+            return positive_int(c1, c2)
+
+        monkeypatch.setattr(homext, "positive_int", counting)
+        sheaves = sheaf_window(Surface(3, 4), turns=1)
+        for X in sheaves[::7]:
+            for Y in sheaves[::5]:
+                calls.clear()
+                dim = hom_dim(X, Y)
+                assert calls == [(phi_inv(Y).se_shifted(1), phi_inv(X))]
+                assert dim == positive_int(*calls[0])
 
 
 class TestExceptional:
