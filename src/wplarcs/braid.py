@@ -255,11 +255,6 @@ def _compose_power(w: BraidWord, n: int) -> BraidWord:
     return BraidWord(w.strands, w.letters * abs(n))
 
 
-def end_shift_inverse_word(s: Surface) -> BraidWord:
-    """Word undoing one end-shift: the full twist followed by a start shift."""
-    return start_shift_word(s) * full_twist_word(s)
-
-
 # ---------------------------------------------------------------------------
 # Normalization to the canonical fan.
 # ---------------------------------------------------------------------------

@@ -254,6 +254,8 @@ class _EndpointCurve:
 
     def se_shifted(self, k: int):
         """The simultaneous start/end move applied k times; k < 0 undoes it."""
+        if not k:
+            return self
         return self._moved(k, k)
 
     def is_arc(self) -> bool:

@@ -4,8 +4,8 @@ A triangulation is a maximal pairwise non-crossing set of arcs (size p+q);
 all-bridging triangulations are unit staircases and correspond to monotone
 lattice paths from (0,0) to (p,q) once shifted so the staircase starts at
 the origin.  Counting is done three ways and cross-checked: direct path
-enumeration, the gcd-indexed product formula, and backtracking enumeration
-of anchored triangulations up to simultaneous shift.
+enumeration, the gcd-indexed exponential formula, and enumeration of the
+anchored triangulations up to simultaneous shift.
 
 Classes up to the se-shift (the Auslander-Reiten translation on sheaves)
 are named by their anchored representative.  `se_canonical` reads at most
@@ -13,6 +13,16 @@ p + q candidate shifts off the bridging arcs and builds one shifted
 triangulation, so its cost does not depend on how far its input is
 shifted.  The enumeration refuses surfaces with more than
 `MAX_SHEAF_CLASSES` classes.
+
+The census validates families, not members.  An anchored family is a set
+of anchor arcs plus one triangulation of each of the two polygons they cut
+out; each family is checked once, with every crossing verdict its members
+would get, each distinct arc pair is tested once per enumeration, and the
+members are assembled unchecked apart from their size.  Two members with
+one arc set are an invariant violation, since the families are disjoint.
+The staircases of the lattice paths are checked together, one test per
+pair of comparable lattice points.  `is_triangulation` and
+`triangulation()` remain the check on arc sets from outside the program.
 """
 
 from __future__ import annotations
@@ -22,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from typing import Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
 
 from .core import (
     Bridging,
@@ -68,6 +78,11 @@ class Triangulation:
         return sorted(self.arcs, key=lambda a: a.key())
 
 
+def _crossing(x: Curve, y: Curve) -> bool:
+    """Either arc meets the other positively."""
+    return bool(positive_int(x, y) or positive_int(y, x))
+
+
 def is_triangulation(surface: Surface, arcs: Iterable[Curve]) -> bool:
     """Exactly p + q distinct arcs, pairwise non-crossing in both orders."""
     arcs = list(arcs)
@@ -76,10 +91,7 @@ def is_triangulation(surface: Surface, arcs: Iterable[Curve]) -> bool:
     for a in arcs:
         if a.surface != surface or not is_arc(a):
             return False
-    for x, y in combinations(arcs, 2):
-        if positive_int(x, y) or positive_int(y, x):
-            return False
-    return True
+    return not any(_crossing(x, y) for x, y in combinations(arcs, 2))
 
 
 def triangulation(surface: Surface, arcs: Iterable[Curve]) -> Triangulation:
@@ -126,37 +138,24 @@ def catalan(n: int) -> int:
     return math.comb(2 * n, n) // (n + 1)
 
 
-def _partitions(n: int):
-    """Multiplicity vectors a with sum i*a_i = n, as dicts part -> count."""
-
-    def rec(remaining: int, max_part: int):
-        if remaining == 0:
-            yield {}
-            return
-        for part in range(min(remaining, max_part), 0, -1):
-            for rest in rec(remaining - part, part):
-                out = dict(rest)
-                out[part] = out.get(part, 0) + 1
-                yield out
-
-    yield from rec(n, n)
-
-
 def bizley_count(p: int, q: int) -> int:
     """Number of (p,q)-Dyck paths via the gcd-indexed exponential formula.
 
-    The atoms are the coprime path counts binom(k+l, k)/(k+l); the result
-    is asserted integral (census and the tests compare it with enumeration).
+    With d = gcd(p, q) and (p', q') = (p, q)/d, the count is the coefficient
+    F_d of exp(sum_k atom_k x^k), whose atoms are the coprime path counts
+    atom_k = binom(k(p' + q'), kp') / (k(p' + q')) (Bizley 1954).  The
+    power-series exponential obeys n*F_n = sum_{k=1..n} k*atom_k*F_{n-k}, so
+    this takes O(d^2) big-number steps.  The result is asserted integral
+    (census and the tests compare it with enumeration).
     """
     d = math.gcd(p, q)
-    total = Fraction(0)
-    for a in _partitions(d):
-        term = Fraction(1)
-        for part, count in a.items():
-            k, l = part * p // d, part * q // d
-            atom = Fraction(math.comb(k + l, k), k + l)
-            term *= atom**count / math.factorial(count)
-        total += term
+    p1, n1 = p // d, (p + q) // d
+    # k * atom_k, with the k cancelled.
+    weighted = [Fraction(math.comb(k * n1, k * p1), n1) for k in range(d + 1)]
+    series = [Fraction(1)]
+    for n in range(1, d + 1):
+        series.append(sum(weighted[k] * series[n - k] for k in range(1, n + 1)) / n)
+    total = series[d]
     if total.denominator != 1:
         raise InternalInvariantViolation("path-count formula gave a non-integer")
     return int(total)
@@ -172,13 +171,14 @@ def _all_bridging(t: Triangulation) -> None:
         raise NotApplicable("operation requires an all-bridging triangulation")
 
 
-def _unfold_staircase(t: Triangulation) -> List[Tuple[int, int]]:
-    """Lifts of the arcs as the unit staircase from (0, 0), or None.
+def _unfold_staircase(t: Triangulation) -> Optional[List[Tuple[int, int]]]:
+    """Lifts of the arcs as the unit staircase from (0, 0).
 
-    The arcs of an all-bridging triangulation form a single cycle in which
-    each member is followed by its east or north unit translate; unfolding
-    from a member whose canonical form is the origin produces lifts inside
-    the rectangle [0, p] x [0, q].
+    Returns None when t is not a staircase through B(0, 0).  The arcs of an
+    all-bridging triangulation form a single cycle in which each member is
+    followed by its east or north unit translate; unfolding from a member
+    whose canonical form is the origin produces lifts inside the rectangle
+    [0, p] x [0, q].
     """
     s = t.surface
     _all_bridging(t)
@@ -345,12 +345,28 @@ def se_canonical(t: Triangulation) -> Triangulation:
 # ---------------------------------------------------------------------------
 
 
-def _polygon_triangulations(vertices: Sequence):
-    """Chord sets triangulating a convex polygon on the given vertex cycle."""
-    n = len(vertices)
+def _require_non_crossing(
+    verdicts: Dict[Tuple[Curve, Curve], bool], x: Curve, y: Curve, what: str
+) -> None:
+    """Raise unless x and y do not cross; each verdict is kept in `verdicts`."""
+    crossing = verdicts.get((x, y))
+    if crossing is None:
+        crossing = verdicts[x, y] = verdicts[y, x] = _crossing(x, y)
+    if crossing:
+        raise InternalInvariantViolation(f"{what}: {x!r} and {y!r} cross")
+
+
+def _require_arcs(s: Surface, curves: Iterable[Curve]) -> None:
+    """The arc test of `is_triangulation`, raising on a curve that fails it."""
+    for c in curves:
+        if c.surface != s or not is_arc(c):
+            raise InternalInvariantViolation(f"{c!r} is not an arc of {s}")
+
+
+def _polygon_triangulations(n: int) -> Tuple[FrozenSet[Tuple[int, int]], ...]:
+    """Triangulations of a convex n-gon, as sets of diagonals (i, j), i < j."""
     if n < 3:
-        yield frozenset()
-        return
+        return (frozenset(),)
 
     @lru_cache(maxsize=None)
     def rec(i: int, j: int):
@@ -369,23 +385,87 @@ def _polygon_triangulations(vertices: Sequence):
                     out.append(frozenset(chords))
         return tuple(out)
 
-    for chord_set in rec(0, n - 1):
-        yield frozenset(
-            (vertices[i], vertices[j]) for i, j in chord_set
-        )
+    return rec(0, n - 1)
 
 
-def _glued_triangulations(s: Surface, anchors: List[Curve], inside, outside):
-    """The anchors plus any triangulations of the two polygons they cut out."""
-    for chords_in in _polygon_triangulations(tuple(inside)):
-        arcs_in = [connector(s, v1, v2) for v1, v2 in chords_in]
-        for chords_out in _polygon_triangulations(tuple(outside)):
-            arcs_out = [connector(s, v1, v2) for v1, v2 in chords_out]
-            yield frozenset(anchors) | frozenset(arcs_in) | frozenset(arcs_out)
+def _interleave(c: Tuple[int, int], d: Tuple[int, int]) -> bool:
+    """Two diagonals of a convex polygon that no triangulation holds together."""
+    (i, j), (k, l) = c, d
+    return i < k < j < l or k < i < l < j
 
 
-def _plain_family(s: Surface, a: int, b: int):
-    """Triangulations containing the plain anchor for (a, b)."""
+@dataclass(frozen=True)
+class _Family:
+    """The anchors of one anchored family and the two polygons they cut out.
+
+    The members are the anchors plus any triangulations of the two polygons,
+    whose vertices are lift points (boundary, index) in cyclic order.
+    Iterating yields them, validated on their own; the enumeration calls
+    `members` with the crossing verdicts it shares across families.
+    """
+
+    surface: Surface
+    anchors: Tuple[Curve, ...]
+    inside: Tuple[Tuple[str, int], ...]
+    outside: Tuple[Tuple[str, int], ...]
+
+    def __iter__(self) -> Iterator[FrozenSet[Curve]]:
+        return self.members({})
+
+    def members(
+        self, verdicts: Dict[Tuple[Curve, Curve], bool]
+    ) -> Iterator[FrozenSet[Curve]]:
+        """The members' arc sets, after validating the family once.
+
+        The family gets the verdicts every member would get from
+        `is_triangulation`: the anchors pairwise; each chord that occurs in
+        a triangulation of a polygon as an arc of the surface and against
+        each anchor; each pair of chords of one polygon that can share a
+        triangulation, which is every pair that does not interleave; each
+        (inside, outside) chord pair.  Every pair of arcs of every member is
+        among these, so a member is assembled unchecked apart from its size
+        of p + q, which also rules out a chord repeating an anchor.
+        """
+        s, anchors = self.surface, self.anchors
+        _require_arcs(s, anchors)
+        for x, y in combinations(anchors, 2):
+            _require_non_crossing(verdicts, x, y, "two anchors cross")
+        polygons = []
+        for vertices in (self.inside, self.outside):
+            triangulations = _polygon_triangulations(len(vertices))
+            chords = sorted(set().union(*triangulations))
+            arc = {c: connector(s, vertices[c[0]], vertices[c[1]]) for c in chords}
+            _require_arcs(s, arc.values())
+            for c in chords:
+                for x in anchors:
+                    _require_non_crossing(
+                        verdicts, arc[c], x, "an anchor crosses a chord"
+                    )
+            for c, d in combinations(chords, 2):
+                if not _interleave(c, d):
+                    _require_non_crossing(
+                        verdicts, arc[c], arc[d], "two chords of one polygon cross"
+                    )
+            members = [frozenset(arc[c] for c in t) for t in triangulations]
+            polygons.append((list(arc.values()), members))
+        (chords_in, members_in), (chords_out, members_out) = polygons
+        for x in chords_in:
+            for y in chords_out:
+                _require_non_crossing(verdicts, x, y, "chords of the two polygons cross")
+        base = frozenset(anchors)
+        for arcs_in in members_in:
+            with_in = base | arcs_in
+            for arcs_out in members_out:
+                arcs = with_in | arcs_out
+                if len(arcs) != s.rank:
+                    raise InternalInvariantViolation(
+                        f"an anchored family member has {len(arcs)} arcs, not {s.rank}"
+                    )
+                yield arcs
+
+
+def _plain_family(s: Surface, a: int, b: int) -> _Family:
+    """The family of triangulations containing the plain anchor for (a, b)."""
     anchors: List[Curve] = [Bridging(s, 0, a), Bridging(s, 0, b)]
     if (a, b) != (0, 1):
         anchors.append(OuterPeripheral(s, a, b))
@@ -394,37 +474,41 @@ def _plain_family(s: Surface, a: int, b: int):
     # Region outside: inner 0..p over outer b..a+q.
     outside = [("inner", i) for i in range(0, s.p + 1)]
     outside += [("outer", j) for j in range(b, a + s.q + 1)][::-1]
-    yield from _glued_triangulations(s, anchors, inside, outside)
+    return _Family(s, tuple(anchors), tuple(inside), tuple(outside))
 
 
-def _primed_family(s: Surface, a: int, b: int):
-    """Triangulations containing the primed anchor for (a, b)."""
+def _primed_family(s: Surface, a: int, b: int) -> _Family:
+    """The family of triangulations containing the primed anchor for (a, b)."""
     anchors: List[Curve] = [Bridging(s, 0, a), Bridging(s, b, a)]
     if (a, b) != (0, 1):
         anchors.append(InnerPeripheral(s, 0, b))
     inside = [("inner", i) for i in range(0, b + 1)]
     outside = [("outer", j) for j in range(a, a + s.q + 1)]
     outside += [("inner", i) for i in range(b, s.p + 1)][::-1]
-    yield from _glued_triangulations(s, anchors, inside, outside)
+    return _Family(s, tuple(anchors), tuple(inside), tuple(outside))
 
 
 def enumerate_anchored_triangulations(s: Surface) -> List[Triangulation]:
-    """All triangulations in the anchored families, pairwise se-inequivalent."""
+    """All triangulations in the anchored families, pairwise se-inequivalent.
+
+    Each family is validated once (`_Family.members`) and each distinct pair
+    of arcs is tested for crossing once per call, so the members are built
+    without a check of their own.  The families are disjoint: two members
+    with one arc set raise `InternalInvariantViolation`.
+    """
     _check_enumeration_size(s)
-    seen: Set[FrozenSet[Curve]] = set()
-    out: List[Triangulation] = []
-    for a in range(0, -s.q, -1):
-        for b in range(1, a + s.q + 1):
-            for arcs in _plain_family(s, a, b):
-                if arcs not in seen:
-                    seen.add(arcs)
-                    out.append(triangulation(s, arcs))
-    for a in range(0, -s.p, -1):
-        for b in range(1 - a, s.p + 1):
-            for arcs in _primed_family(s, a, b):
-                if arcs not in seen:
-                    seen.add(arcs)
-                    out.append(triangulation(s, arcs))
+    families = [
+        _plain_family(s, a, b) for a in range(0, -s.q, -1) for b in range(1, a + s.q + 1)
+    ]
+    families += [
+        _primed_family(s, a, b) for a in range(0, -s.p, -1) for b in range(1 - a, s.p + 1)
+    ]
+    verdicts: Dict[Tuple[Curve, Curve], bool] = {}
+    out = [
+        Triangulation(s, arcs) for family in families for arcs in family.members(verdicts)
+    ]
+    if len({t.arcs for t in out}) != len(out):
+        raise InternalInvariantViolation("two anchored family members share an arc set")
     return out
 
 
@@ -435,11 +519,11 @@ def sheaf_class_formula(p: int, q: int) -> int:
 
 
 # Largest number of sheaf classes an enumeration may build.  A class costs
-# about 0.15 ms, mostly the validation of its triangulation (census(5, 5)
-# takes 4.8 s for 31,752 classes on a 2-CPU x86-64 host with CPython 3.11),
-# so the cap bounds an enumeration near 8 s.  It admits every surface with
-# p + q <= 10 and refuses every one with p + q >= 11, the smallest of which
-# has 116,424 classes.
+# about 0.06 ms, mostly its `se_canonical` check (census(5, 5) takes 1.7 to
+# 2.0 s for 31,752 classes, and census(1, 9) 2.0 to 2.8 s for 48,620, on a
+# 2-CPU x86-64 host with CPython 3.11), so the cap bounds an enumeration
+# near 3 s.  It admits every surface with p + q <= 10 and refuses every one
+# with p + q >= 11, the smallest of which has 116,424 classes.
 MAX_SHEAF_CLASSES = 50_000
 # The k = 1 term of the formula is catalan(p + q - 1), so from this rank on
 # the cap is passed without evaluating the formula on huge numbers.
@@ -459,18 +543,41 @@ def _check_enumeration_size(s: Surface) -> None:
         )
 
 
+def _check_staircases(s: Surface, paths: Iterable[LatticePath]) -> None:
+    """Validate the triangulations `path_to_tilting` reads off the paths.
+
+    The staircase of a path holds B(x, y) for its points but the closing
+    corner (p, q).  Two lattice points lie on one monotone path exactly when
+    they are comparable, so each comparable pair's arcs are tested for
+    crossing once, for all paths together; a path then only needs p + q
+    distinct arcs.
+    """
+    points = [(x, y) for x in range(s.p + 1) for y in range(s.q + 1)][:-1]
+    arc = {point: Bridging(s, *point) for point in points}
+    _require_arcs(s, arc.values())
+    for (x1, y1), (x2, y2) in combinations(points, 2):
+        # x1 <= x2 in this order, so the pair is comparable when y1 <= y2.
+        if y1 <= y2 and _crossing(arc[x1, y1], arc[x2, y2]):
+            raise InternalInvariantViolation("two arcs of one staircase cross")
+    for path in paths:
+        if len(frozenset(arc[point] for point in path.points[:-1])) != s.rank:
+            raise InternalInvariantViolation("path did not produce a triangulation")
+
+
 def census(p: int, q: int) -> Dict[str, int]:
     """Counts of tilting classes: bundles, fundamental bundles, all sheaves.
 
     Every count is produced by explicit enumeration and asserted equal to
-    its closed form.
+    its closed form.  The staircases of all paths are validated together
+    (`_check_staircases`) and the anchored families one family at a time
+    (`enumerate_anchored_triangulations`); each anchored member must be its
+    own `se_canonical` form.
     """
     s = Surface(p, q)
     _check_enumeration_size(s)
 
     paths = enumerate_lattice_paths(p, q)
-    for path in paths:
-        path_to_tilting(s, path)  # validates
+    _check_staircases(s, paths)
     bundle_classes = len(paths)
     if bundle_classes != math.comb(p + q, p):
         raise InternalInvariantViolation("bundle census mismatch")

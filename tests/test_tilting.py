@@ -2,8 +2,17 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from wplarcs.core import Bridging, InnerPeripheral, Surface, degree, normal_form, phi
+from wplarcs.core import (
+    Bridging,
+    InnerPeripheral,
+    OuterPeripheral,
+    Surface,
+    degree,
+    normal_form,
+    phi,
+)
 from wplarcs.braid import canonical_theta
 from wplarcs import tilting
 from wplarcs.cli import main
@@ -27,7 +36,8 @@ from wplarcs.tilting import (
     triangulation,
 )
 
-from bizley_literal import bizley_count_literal_binomial
+from bizley_literal import bizley_count_literal, bizley_count_literal_binomial
+from census_literal import enumerate_anchored_literal
 from se_canonical_literal import scan_bound, se_canonical_literal
 
 S23 = Surface(2, 3)
@@ -79,6 +89,34 @@ class TestBizley:
     def test_formula_matches_enumeration(self, p, q):
         dyck = sum(1 for path in enumerate_lattice_paths(p, q) if is_dyck(path))
         assert bizley_count(p, q) == dyck
+
+    def test_recurrence_matches_partition_sum(self):
+        for p in range(1, 13):
+            for q in range(1, 13):
+                assert bizley_count(p, q) == bizley_count_literal(p, q)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_recurrence_matches_dyck_dp(self, data):
+        # Drawn as a common factor times (p1, q1), so that p + q <= 30 and
+        # gcd(p, q) > 1, the case the recurrence is for, is frequent.
+        factor = data.draw(st.integers(1, 15))
+        p1 = data.draw(st.integers(1, 30 // factor - 1))
+        q1 = data.draw(st.integers(1, 30 // factor - p1))
+        p, q = factor * p1, factor * q1
+        assert bizley_count(p, q) == dyck_paths_dp(p, q)
+
+
+def dyck_paths_dp(p: int, q: int) -> int:
+    """Monotone lattice paths (0,0) -> (p,q) with p*y <= q*x, by dynamic programming."""
+    ways = [[0] * (q + 1) for _ in range(p + 1)]
+    ways[0][0] = 1
+    for x in range(p + 1):
+        for y in range(q + 1):
+            if (x, y) == (0, 0) or p * y > q * x:
+                continue
+            ways[x][y] = (ways[x - 1][y] if x else 0) + (ways[x][y - 1] if y else 0)
+    return ways[p][q]
 
 
 class TestPathBijection:
@@ -322,3 +360,107 @@ class TestEnumerationAsClasses:
         for t in enumerate_anchored_triangulations(s):
             shifted = se_shift(t, rng.randint(-4, 4))
             assert se_canonical(shifted).arcs in reps
+
+
+FAMILY_SURFACES = [
+    Surface(p, q) for p in range(1, 8) for q in range(1, 8) if p + q <= 8
+]
+
+
+def crossing_reported_for(monkeypatch, x, y):
+    """Patch tilting.positive_int to report that x and y cross."""
+    real = tilting.positive_int
+
+    def lying(a, b):
+        return 1 if {a, b} == {x, y} else real(a, b)
+
+    monkeypatch.setattr(tilting, "positive_int", lying)
+
+
+class TestFamilyValidation:
+    @pytest.mark.parametrize("s", FAMILY_SURFACES, ids=str)
+    def test_matches_the_member_checking_enumeration(self, s):
+        # The literal enumeration passes every member through
+        # `triangulation()`, so each one also passes `is_triangulation`.
+        literal = [t.arcs for t in enumerate_anchored_literal(s)]
+        assert [t.arcs for t in enumerate_anchored_triangulations(s)] == literal
+
+    @pytest.mark.parametrize("p,q,most", [(3, 3, 1_000), (4, 4, 2_500)])
+    def test_crossing_tests_per_census(self, monkeypatch, p, q, most):
+        # Checking every member and every path costs 6,600 calls at (3, 3)
+        # and 141,120 at (4, 4).
+        calls = [0]
+        real = tilting.positive_int
+
+        def counting(x, y):
+            calls[0] += 1
+            return real(x, y)
+
+        monkeypatch.setattr(tilting, "positive_int", counting)
+        census(p, q)
+        assert 0 < calls[0] <= most
+
+    @pytest.mark.parametrize(
+        "x,y,check",
+        [
+            # B(0, 0) and OP(0, 2) anchor the plain family (0, 2).
+            (Bridging(S23, 0, 0), OuterPeripheral(S23, 0, 2), "two anchors cross"),
+            # IP(0, 2) is a chord of that family's outer polygon.
+            (Bridging(S23, 0, 0), InnerPeripheral(S23, 0, 2), "an anchor crosses a chord"),
+            # Two chords of the outer polygon of the plain family (0, 1).
+            (Bridging(S23, 0, 3), InnerPeripheral(S23, 0, 2), "two chords of one polygon"),
+            # The staircases through (0, 0) and (1, 1).
+            (Bridging(S23, 0, 0), Bridging(S23, 1, 1), "two arcs of one staircase"),
+        ],
+        ids=["anchors", "anchor-chord", "one-polygon", "staircase"],
+    )
+    def test_check_is_live(self, monkeypatch, x, y, check):
+        # Each pair is tested first by the named check.
+        crossing_reported_for(monkeypatch, x, y)
+        with pytest.raises(InternalInvariantViolation, match=check):
+            census(2, 3)
+
+    def test_inside_outside_check_is_live(self, monkeypatch):
+        # In the plain family (0, 3), OP(0, 2) is an inside chord and B(1, 3)
+        # an outside one.  The whole enumeration tests the pair earlier, as
+        # an anchor and a chord, so the family is also validated on its own.
+        s = S23
+        x, y = OuterPeripheral(s, 0, 2), Bridging(s, 1, 3)
+        crossing_reported_for(monkeypatch, x, y)
+        with pytest.raises(InternalInvariantViolation):
+            census(2, 3)
+        family = tilting._plain_family(s, 0, 3)
+        with pytest.raises(
+            InternalInvariantViolation, match="chords of the two polygons cross"
+        ):
+            list(family)
+
+    def test_duplicate_member_rejected(self, monkeypatch):
+        real = tilting._polygon_triangulations
+
+        def repeating_first(n):
+            triangulations = real(n)
+            return triangulations[:1] + triangulations
+
+        monkeypatch.setattr(tilting, "_polygon_triangulations", repeating_first)
+        with pytest.raises(InternalInvariantViolation, match="share an arc set"):
+            census(2, 3)
+
+    def test_wrong_member_size_rejected(self, monkeypatch):
+        # Polygons left untriangulated give members with too few arcs.
+        monkeypatch.setattr(
+            tilting, "_polygon_triangulations", lambda n: (frozenset(),)
+        )
+        with pytest.raises(InternalInvariantViolation, match="arcs, not"):
+            census(2, 3)
+
+
+class TestEmptyShift:
+    @pytest.mark.parametrize(
+        "curve",
+        [Bridging(S23, 1, -4), InnerPeripheral(S23, 1, 3), OuterPeripheral(S23, 2, 4)],
+        ids=repr,
+    )
+    def test_shift_by_zero_is_the_curve(self, curve):
+        assert curve.se_shifted(0) is curve
+        assert curve.se_shifted(1) != curve
