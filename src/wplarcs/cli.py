@@ -385,6 +385,8 @@ def _cmd_normalize(args, s: Surface) -> int:
 
 
 def _cmd_tilting(args, s: Surface) -> int:
+    if args.action in ("check", "path") and args.collection is None:
+        raise WireError(f"tilting {args.action} needs --collection")
     if args.action == "check":
         arcs = parse_collection(s, _loads(args.collection))
         ok = tilting.is_triangulation(s, arcs)

@@ -6,9 +6,9 @@ and Int+(alpha se-shifted once, beta) = 0 (Hom, by Serre duality).
 A set of arcs is an exceptional collection exactly when every unordered
 pair passes the pair test in at least one direction and the precedence
 digraph (edges forced by one-directional pairs) is acyclic; admissible
-orders are its topological orders.  Completion's bridging window is
-anchored at the collection's bridging arcs (the origin if it has none), so
-its cost does not grow with their winding.
+orders are its topological orders.  Completion is one first-fit pass over
+every peripheral arc and a bridging window anchored at the collection's
+bridging arcs, so its cost does not grow with their winding.
 """
 
 from __future__ import annotations
@@ -304,88 +304,52 @@ def _peripheral_pool(s: Surface) -> List[Curve]:
     return sorted(pool, key=lambda c: c.key())
 
 
-def _bridging_pool(s: Surface, arcs: Iterable[Curve], widen: int) -> List[Curve]:
-    starts = [a.j for a in arcs if isinstance(a, Bridging)] or [0]
-    lo = min(starts) - (widen + 1) * s.q
-    hi = max(starts) + (widen + 1) * s.q
-    pool = [Bridging(s, i, j) for i in range(s.p) for j in range(lo, hi + 1)]
-    return sorted(pool, key=lambda c: c.key())
-
-
-def _staircase_candidates(s: Surface, collection: List[Curve]) -> List[Curve]:
-    """Bridging arcs through external points, in staircase order.
-
-    Mirrors the constructive completion: peripheral arcs fix the external
-    points and the bridging layer is a fan through them.
-    """
-    inner_ext, outer_ext = external_points(
-        ArcCollection(s, frozenset(collection))
-    )
-    if not inner_ext or not outer_ext:
-        return []
-    inner = sorted(inner_ext)
-    outer = sorted(outer_ext)
-    out: List[Curve] = []
-    for c in inner + [inner[0] + s.p]:
-        for d in outer + [outer[0] + s.q]:
-            out.append(Bridging(s, c, d))
-    seen = set()
-    unique = []
-    for arc in out:
-        if arc not in seen:
-            seen.add(arc)
-            unique.append(arc)
-    return unique
+def _bridging_pool(s: Surface, arcs: Iterable[Curve]) -> List[Curve]:
+    """Completion's bridging window: B(i, j), i in [0, p), j within q of the
+    collection's bridging arcs (within 2q of 0 if it has none), nearest the
+    anchor interval first, then in `key()` order."""
+    starts = [a.j for a in arcs if isinstance(a, Bridging)]
+    lo, hi = (min(starts), max(starts)) if starts else (0, 0)
+    margin = s.q if starts else 2 * s.q
+    js = range(lo - margin, hi + margin + 1)
+    pool = [Bridging(s, i, j) for i in range(s.p) for j in js]
+    return sorted(pool, key=lambda c: (max(lo - c.j, c.j - hi, 0), c.key()))
 
 
 def complete_to_maximal(collection: ArcCollection) -> OrderedCollection:
     """Enlarge an exceptional collection to one of maximal size p + q.
 
-    Greedy augmentation: peripheral candidates first, then bridging arcs
-    through external points, then a widening window of bridging arcs.  Any
-    compatible addition keeps the collection enlargeable, so first-fit
-    suffices.
+    One first-fit pass over every peripheral arc, then `_bridging_pool`.
+    One pass is enough.  Every exceptional collection completes (Meltzer
+    2004), and rejection is monotone: a pair failing both ways, or a
+    precedence cycle, stays in every larger set.  So an arc missing at the
+    end would be a rejected candidate, or one not in the list.  None is
+    outside it: bridging arcs that pair in either order have |j - j'| <= q
+    (Lemma 1); with no bridging arc in the seed, a bridging arc's verdicts
+    against peripheral arcs depend only on (i, j mod q) (Lemma 2), so the
+    first one kept has |j| <= q/2 and every later one |j| <= 3q/2.
     """
     s = collection.surface
     base = order_collection(collection)
     if base is None:
         raise NotApplicable("input is not an exceptional collection")
-    target = s.rank
     arcs = list(base)
     edges = _precedence_edges(arcs)
-
-    def try_pool(pool: Iterable[Curve]) -> bool:
-        nonlocal edges
-        added = False
-        for cand in pool:
-            if len(arcs) >= target:
-                break
-            if cand in arcs:
-                continue
-            new_edges = _can_add(arcs, edges, cand)
-            if new_edges is None:
-                continue
-            edges[len(arcs)] = set()
-            for u, v in new_edges:
-                edges[u].add(v)
-            arcs.append(cand)
-            added = True
-        return added
-
-    for widen in range(4):
-        if len(arcs) >= target:
+    for cand in _peripheral_pool(s) + _bridging_pool(s, arcs):
+        if len(arcs) == s.rank:
             break
-        try_pool(_peripheral_pool(s))
-        if len(arcs) >= target:
-            break
-        try_pool(_staircase_candidates(s, arcs))
-        if len(arcs) >= target:
-            break
-        try_pool(_bridging_pool(s, arcs, widen))
-
-    if len(arcs) != target:
+        if cand in arcs:
+            continue
+        new_edges = _can_add(arcs, edges, cand)
+        if new_edges is None:
+            continue
+        edges[len(arcs)] = set()
+        for u, v in new_edges:
+            edges[u].add(v)
+        arcs.append(cand)
+    if len(arcs) != s.rank:
         raise InternalInvariantViolation(
-            f"completion stalled at {len(arcs)} of {target} arcs"
+            f"completion stalled at {len(arcs)} of {s.rank} arcs"
         )
     ordered = order_collection(ArcCollection(s, frozenset(arcs)))
     if ordered is None:

@@ -178,31 +178,25 @@ def _unfold_staircase(t: Triangulation) -> Optional[List[Tuple[int, int]]]:
     all-bridging triangulation form a single cycle in which each member is
     followed by its east or north unit translate; unfolding from a member
     whose canonical form is the origin produces lifts inside the rectangle
-    [0, p] x [0, q].
+    [0, p] x [0, q].  B(a + 1, b) and B(a, b + 1) cross, so a triangulation
+    holds at most one of them and the walk never backtracks.
     """
     s = t.surface
     _all_bridging(t)
-    if Bridging(s, 0, 0) not in t.arcs:
+    remaining = set(t.arcs)
+    if Bridging(s, 0, 0) not in remaining:
         return None
-    remaining = set(t.arcs) - {Bridging(s, 0, 0)}
+    remaining.remove(Bridging(s, 0, 0))
     path = [(0, 0)]
-
-    def walk(a: int, b: int) -> bool:
-        if not remaining:
-            return True
-        for na, nb in ((a + 1, b), (a, b + 1)):
-            arc = Bridging(s, na, nb)
-            if arc in remaining:
-                remaining.remove(arc)
-                path.append((na, nb))
-                if walk(na, nb):
-                    return True
-                path.pop()
-                remaining.add(arc)
-        return False
-
-    if not walk(0, 0):
-        return None
+    while remaining:
+        a, b = path[-1]
+        for step in ((a + 1, b), (a, b + 1)):
+            if Bridging(s, *step) in remaining:
+                break
+        else:
+            return None
+        remaining.remove(Bridging(s, *step))
+        path.append(step)
     a_last, b_last = path[-1]
     if (s.p - a_last, s.q - b_last) not in ((1, 0), (0, 1)):
         return None
@@ -217,33 +211,21 @@ def se_shift(t: Triangulation, k: int) -> Triangulation:
 
 
 def canonical_bundle_rep(t: Triangulation) -> Triangulation:
-    """The unique shift whose staircase starts at the origin."""
-    s = t.surface
+    """The unique shift whose staircase starts at the origin.
+
+    For an all-bridging triangulation this is its anchored representative:
+    the only all-bridging anchored families hold B(0, 0) with B(0, 1) or
+    B(1, 0).
+    """
     _all_bridging(t)
-    if _unfold_staircase(t) is not None:
-        return t
-    found = None
-    for arc in t.arcs:
-        # A shift by m moves the arc to the origin only when the sum of its
-        # parameters is a multiple of p + q.
-        i, j = arc.i, arc.j
-        if (i + j) % (s.p + s.q) != 0:
-            continue
-        m = (i + j) // (s.p + s.q) * s.p - i
-        cand = se_shift(t, m)
-        if _unfold_staircase(cand) is not None:
-            if found is not None and cand != found:
-                raise InternalInvariantViolation("two canonical shifts found")
-            found = cand
-    if found is None:
-        raise InternalInvariantViolation("no canonical shift found")
-    return found
+    return se_canonical(t)
 
 
 def tilting_to_path(t: Triangulation) -> LatticePath:
     """Staircase reading of an all-bridging triangulation, shifted to (0,0)."""
-    rep = canonical_bundle_rep(t)
-    points = _unfold_staircase(rep)
+    points = _unfold_staircase(canonical_bundle_rep(t))
+    if points is None:
+        raise InternalInvariantViolation("the canonical shift is not a staircase")
     return LatticePath(tuple(points) + ((t.surface.p, t.surface.q),))
 
 
@@ -418,13 +400,13 @@ class _Family:
         """The members' arc sets, after validating the family once.
 
         The family gets the verdicts every member would get from
-        `is_triangulation`: the anchors pairwise; each chord that occurs in
-        a triangulation of a polygon as an arc of the surface and against
-        each anchor; each pair of chords of one polygon that can share a
-        triangulation, which is every pair that does not interleave; each
-        (inside, outside) chord pair.  Every pair of arcs of every member is
-        among these, so a member is assembled unchecked apart from its size
-        of p + q, which also rules out a chord repeating an anchor.
+        `is_triangulation`: the anchors pairwise; each diagonal of a polygon
+        as an arc of the surface and against each anchor; each pair of
+        chords of one polygon that can share a triangulation, which is every
+        pair that does not interleave; each (inside, outside) chord pair.
+        Every pair of arcs of every member is among these, so a member is
+        assembled unchecked apart from its size of p + q, which also rules
+        out a chord repeating an anchor.
         """
         s, anchors = self.surface, self.anchors
         _require_arcs(s, anchors)
@@ -432,8 +414,12 @@ class _Family:
             _require_non_crossing(verdicts, x, y, "two anchors cross")
         polygons = []
         for vertices in (self.inside, self.outside):
-            triangulations = _polygon_triangulations(len(vertices))
-            chords = sorted(set().union(*triangulations))
+            n = len(vertices)
+            triangulations = _polygon_triangulations(n)
+            # The n-gon's diagonals; each lies in some triangulation.
+            chords = [
+                (i, j) for i in range(n) for j in range(i + 2, n) if (i, j) != (0, n - 1)
+            ]
             arc = {c: connector(s, vertices[c[0]], vertices[c[1]]) for c in chords}
             _require_arcs(s, arc.values())
             for c in chords:

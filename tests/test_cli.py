@@ -216,6 +216,13 @@ class TestCommands:
         assert out == ""
         assert err.startswith("error: ")
 
+    @pytest.mark.parametrize("action", ["check", "path"])
+    def test_tilting_without_collection(self, capsys, action):
+        code, out, err = run(capsys, "--p", "2", "--q", "3", "tilting", action)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: tilting {action} needs --collection\n"
+
     def test_determinism(self, capsys):
         args = ["--p", "2", "--q", "3", "--json", "census"]
         _, out1, _ = run(capsys, *args)

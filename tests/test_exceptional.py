@@ -260,6 +260,97 @@ class TestCompletion:
             assert (inner_p, outer_p, bridging) == (s.p - k, s.q - l, k + l)
 
 
+LEMMA_SURFACES = [Surface(p, q) for p in range(1, 6) for q in range(1, 6)]
+RANK_8_SURFACES = [Surface(p, n - p) for n in range(2, 9) for p in range(1, n)]
+
+
+class TestOnePassCompletion:
+    """The facts that make one first-fit pass complete every collection."""
+
+    @pytest.mark.parametrize("s", LEMMA_SURFACES, ids=str)
+    def test_far_bridging_arcs_never_pair(self, s, monkeypatch):
+        # Lemma 1: B(i, j), B(i', j') with i, i' in [0, p) form an
+        # exceptional pair in some order only if |j - j'| <= q.
+        monkeypatch.setattr(exceptional, "_PAIR_CACHE", {})
+        bridging = [a for a in window_arcs(s, turns=3) if isinstance(a, Bridging)]
+        pairs = 0
+        for a in bridging:
+            for b in bridging:
+                if abs(a.j - b.j) > s.q:
+                    assert not _arc_pair_ok(a, b), (a, b)
+                elif _arc_pair_ok(a, b):
+                    pairs += 1
+        assert pairs > 0
+
+    @pytest.mark.parametrize("s", LEMMA_SURFACES, ids=str)
+    def test_peripheral_verdicts_depend_on_j_mod_q(self, s, monkeypatch):
+        # Lemma 2: against a peripheral arc, B(i, j) behaves as B(i, j mod q).
+        monkeypatch.setattr(exceptional, "_PAIR_CACHE", {})
+        arcs = window_arcs(s, turns=3)
+        peripheral = [a for a in arcs if not isinstance(a, Bridging)]
+        for b in arcs:
+            if isinstance(b, Bridging):
+                rep = Bridging(s, b.i, b.j % s.q)
+                for c in peripheral:
+                    assert _arc_pair_ok(b, c) == _arc_pair_ok(rep, c), (b, c)
+                    assert _arc_pair_ok(c, b) == _arc_pair_ok(c, rep), (b, c)
+
+    @pytest.mark.parametrize("s", RANK_8_SURFACES, ids=str)
+    def test_seeds_without_bridging_arcs(self, s):
+        pool = exceptional._peripheral_pool(s)
+        rng = random.Random(23)
+        seeds = [[]] + [[arc] for arc in pool]
+        for _ in range(10):
+            seed = []
+            for arc in rng.sample(pool, len(pool)):
+                if order_collection(ArcCollection.of(s, seed + [arc])) is not None:
+                    seed.append(arc)
+            seeds.append(seed[: rng.randint(1, max(1, len(seed)))])
+        for seed in seeds:
+            completed = complete_to_maximal(ArcCollection.of(s, seed))
+            assert len(completed) == s.rank
+            assert set(seed) <= set(completed)
+            assert is_ordered_exceptional_collection(completed)
+
+    @pytest.mark.parametrize("s", [Surface(1, 1), Surface(2, 3), Surface(4, 5)], ids=str)
+    @pytest.mark.parametrize("js", [[], [0], [10**18, 10**18 + 1]], ids=str)
+    def test_bridging_window_rule(self, s, js):
+        # Nearest the anchor interval first: the argument for one pass
+        # needs the first bridging arc kept to be within q/2 of 0.
+        seed = [Bridging(s, 0, j) for j in js] + [InnerPeripheral(s, 0, 2)]
+        lo, hi, margin = (min(js), max(js), s.q) if js else (0, 0, 2 * s.q)
+        pool = _bridging_pool(s, seed)
+        window = range(lo - margin, hi + margin + 1)
+        assert set(pool) == {Bridging(s, i, j) for i in range(s.p) for j in window}
+        distances = [max(lo - c.j, c.j - hi, 0) for c in pool]
+        assert distances == sorted(distances)
+        for d in set(distances):
+            same = [c.key() for c, e in zip(pool, distances) if e == d]
+            assert same == sorted(same)
+
+    @pytest.mark.parametrize(
+        "s", [Surface(2, 3), Surface(3, 3), Surface(4, 5), Surface(1, 7)], ids=str
+    )
+    def test_pair_tests_per_completion(self, s, monkeypatch):
+        # Every peripheral arc and a window of at most p(4q + 1) bridging
+        # arcs, each tried against at most r arcs in both orders, plus the
+        # two orderings of the collection.
+        bound = 2 * s.rank * (s.p**2 + s.q**2 + 4 * s.p * s.q + s.p)
+        real = exceptional._arc_pair_ok
+        counts = []
+        for j in (0, s.q * 10**18):
+            calls = [0]
+
+            def counting(alpha, beta):
+                calls[0] += 1
+                return real(alpha, beta)
+
+            monkeypatch.setattr(exceptional, "_arc_pair_ok", counting)
+            complete_to_maximal(ArcCollection.of(s, [Bridging(s, 0, j)]))
+            counts.append(calls[0])
+        assert counts[0] == counts[1] <= bound
+
+
 class TestCanAdd:
     @pytest.mark.parametrize("s", ACCEPT_SURFACES + [Surface(3, 4)], ids=str)
     def test_matches_ordering_the_enlarged_set(self, s):
@@ -318,8 +409,8 @@ class TestArcsAlone:
 
     @pytest.mark.parametrize("s", [Surface(2, 3), Surface(4, 5)], ids=str)
     def test_bridging_pool_is_anchored_at_the_collection(self, s):
-        far = _bridging_pool(s, [Bridging(s, 0, 10**18)], 0)
-        assert len(far) == len(_bridging_pool(s, [Bridging(s, 0, 0)], 0))
+        far = _bridging_pool(s, [Bridging(s, 0, 10**18)])
+        assert len(far) == len(_bridging_pool(s, [Bridging(s, 0, 0)]))
         assert Bridging(s, 0, 10**18) in far
 
     def test_collections_build_no_sheaf(self, monkeypatch):

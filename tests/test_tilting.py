@@ -156,6 +156,33 @@ class TestPathBijection:
             )
             assert is_dyck(path) == degrees_ok
 
+    @pytest.mark.parametrize("p", range(1, 7))
+    @pytest.mark.parametrize("q", range(1, 7))
+    def test_staircase_successors_cross(self, p, q):
+        # A triangulation holds at most one of the east and north
+        # successors, so unfolding a staircase never backtracks.
+        s = Surface(p, q)
+        for a in range(-p, 2 * p):
+            for b in range(-q, 2 * q):
+                assert tilting._crossing(Bridging(s, a + 1, b), Bridging(s, a, b + 1))
+
+    @pytest.mark.parametrize("p", range(1, 5))
+    @pytest.mark.parametrize("q", range(1, 5))
+    def test_round_trip_from_shifts(self, p, q):
+        s = Surface(p, q)
+        for path in enumerate_lattice_paths(p, q):
+            t = path_to_tilting(s, path)
+            for k in (1, -3, 17, 10**12):
+                shifted = se_shift(t, k)
+                assert canonical_bundle_rep(shifted) == t
+                assert tilting_to_path(shifted) == path
+
+    def test_staircase_check_is_live(self, monkeypatch):
+        fan = se_shift(triangulation(S23, canonical_theta(S23)), 1)
+        monkeypatch.setattr(tilting, "canonical_bundle_rep", lambda t: t)
+        with pytest.raises(InternalInvariantViolation, match="not a staircase"):
+            tilting_to_path(fan)
+
     def test_peripheral_rejected(self):
         arcs = [
             InnerPeripheral(S23, 0, 2),
