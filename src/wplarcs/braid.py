@@ -339,6 +339,10 @@ def normalize_to_theta(
     search over single letters, at most 4r letters deep.
     """
     arcs = tuple(collection)
+    if not arcs:
+        raise NotApplicable(
+            "normalization needs a maximal collection, got an empty one"
+        )
     s = _check_same_surface(*arcs)
     r = s.rank
     if len(arcs) != r:

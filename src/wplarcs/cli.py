@@ -416,16 +416,9 @@ def _cmd_tilting(args, s: Surface) -> int:
 
 
 def _cmd_paths(args, s: Surface) -> int:
-    paths = tilting.enumerate_lattice_paths(s.p, s.q)
-    dyck = [p for p in paths if tilting.is_dyck(p)]
-    payload = {
-        "total": len(paths),
-        "dyck": len(dyck),
-        "bizley": tilting.bizley_count(s.p, s.q),
-    }
-    return _emit(
-        args, payload, f"total {len(paths)}, dyck {len(dyck)}"
-    )
+    total, dyck = tilting.lattice_path_counts(s.p, s.q)
+    payload = {"total": total, "dyck": dyck, "bizley": tilting.bizley_count(s.p, s.q)}
+    return _emit(args, payload, f"total {total}, dyck {dyck}")
 
 
 def _cmd_census(args, s: Surface) -> int:

@@ -3,26 +3,30 @@
 A triangulation is a maximal pairwise non-crossing set of arcs (size p+q);
 all-bridging triangulations are unit staircases and correspond to monotone
 lattice paths from (0,0) to (p,q) once shifted so the staircase starts at
-the origin.  Counting is done three ways and cross-checked: direct path
-enumeration, the gcd-indexed exponential formula, and enumeration of the
-anchored triangulations up to simultaneous shift.
+the origin.  Counting is done three ways and cross-checked: lattice-path
+counts by dynamic programming, the gcd-indexed exponential formula, and
+the sizes of the anchored families up to simultaneous shift.
 
 Classes up to the se-shift (the Auslander-Reiten translation on sheaves)
 are named by their anchored representative.  `se_canonical` reads at most
 p + q candidate shifts off the bridging arcs and builds one shifted
 triangulation, so its cost does not depend on how far its input is
 shifted.  The enumeration refuses surfaces with more than
-`MAX_SHEAF_CLASSES` classes.
+`MAX_SHEAF_CLASSES` classes, and the census those with p + q greater than
+`MAX_CENSUS_RANK`.
 
-The census validates families, not members.  An anchored family is a set
-of anchor arcs plus one triangulation of each of the two polygons they cut
-out; each family is checked once, with every crossing verdict its members
-would get, each distinct arc pair is tested once per enumeration, and the
-members are assembled unchecked apart from their size.  Two members with
-one arc set are an invariant violation, since the families are disjoint.
-The staircases of the lattice paths are checked together, one test per
-pair of comparable lattice points.  `is_triangulation` and
-`triangulation()` remain the check on arc sets from outside the program.
+The census counts families, not members.  An anchored family is a set of
+anchor arcs plus one triangulation of each of the two polygons they cut
+out, so it has catalan(n_in - 2) * catalan(n_out - 2) members.  Each family
+is checked once, with every crossing verdict its members would get, and
+each distinct arc pair is tested once per census.  Its anchoring is checked
+once too, by a lemma: anchors and chords lie in one member exactly when no
+two of the chords interleave in one polygon.  So whether some member holds
+a given anchor pattern at a given shift is read off the places of the
+pattern's arcs, and no member is built.  The staircases of the lattice
+paths are checked together, one test per pair of comparable lattice
+points.  `is_triangulation` and `triangulation()` remain the check on arc
+sets from outside the program.
 """
 
 from __future__ import annotations
@@ -161,6 +165,23 @@ def bizley_count(p: int, q: int) -> int:
     return int(total)
 
 
+def lattice_path_counts(p: int, q: int) -> Tuple[int, int]:
+    """Monotone paths from (0,0) to (p,q): all of them, and the Dyck ones.
+
+    A Dyck path stays weakly below the diagonal (`is_dyck`).  Counted by
+    dynamic programming over the columns, with no path built: the ways to
+    reach (x, y) are the ways to reach (x - 1, y) and (x, y - 1), and none
+    above the diagonal.  O(p*q) big-number additions.
+    """
+    every = [1] + [0] * q
+    dyck = [1] + [0] * q
+    for x in range(p + 1):
+        for y in range(1, q + 1):
+            every[y] += every[y - 1]
+            dyck[y] = dyck[y] + dyck[y - 1] if p * y <= q * x else 0
+    return every[q], dyck[q]
+
+
 # ---------------------------------------------------------------------------
 # Bundle triangulations <-> lattice paths.
 # ---------------------------------------------------------------------------
@@ -265,26 +286,30 @@ def _anchor_patterns(s: Surface, a: int) -> Tuple[Tuple[Curve, ...], ...]:
     return tuple(patterns)
 
 
-def _anchor_candidates(t: Triangulation) -> Dict[int, List[int]]:
-    """Shifts k taking a bridging arc of t to B(0, a), a in (-max(p, q), 0].
+def _anchor_candidate(arc: Bridging) -> Optional[Tuple[int, int]]:
+    """The shift k taking arc to B(0, a), a in (-max(p, q), 0], as (k, a).
 
     The se-shift by k takes the lift (i, j) to (i + k, j - k), so it keeps
     r = i + j modulo p + q.  With m = ceil(r / (p + q)), the shift
-    k = m*p - i lands the arc on B(0, r - m*(p + q)): one candidate per arc
-    at most, whatever the shift of t.  Maps each k to its values of a.
+    k = m*p - i lands the arc on B(0, r - m*(p + q)): one candidate at most,
+    whatever the shift of the arc.  None when a is out of range.
     """
-    s = t.surface
+    s = arc.surface
     n = s.p + s.q
-    reach = max(s.p, s.q)
+    r = arc.i + arc.j
+    m = -(-r // n)
+    a = r - m * n
+    return (m * s.p - arc.i, a) if a > -max(s.p, s.q) else None
+
+
+def _anchor_candidates(t: Triangulation) -> Dict[int, List[int]]:
+    """The candidates of the bridging arcs of t, mapping each k to its a."""
     candidates: Dict[int, List[int]] = {}
     for arc in t.arcs:
-        if not isinstance(arc, Bridging):
-            continue
-        r = arc.i + arc.j
-        m = -(-r // n)
-        a = r - m * n
-        if a > -reach:
-            candidates.setdefault(m * s.p - arc.i, []).append(a)
+        if isinstance(arc, Bridging):
+            candidate = _anchor_candidate(arc)
+            if candidate is not None:
+                candidates.setdefault(candidate[0], []).append(candidate[1])
     return candidates
 
 
@@ -327,15 +352,35 @@ def se_canonical(t: Triangulation) -> Triangulation:
 # ---------------------------------------------------------------------------
 
 
-def _require_non_crossing(
-    verdicts: Dict[Tuple[Curve, Curve], bool], x: Curve, y: Curve, what: str
-) -> None:
-    """Raise unless x and y do not cross; each verdict is kept in `verdicts`."""
-    crossing = verdicts.get((x, y))
-    if crossing is None:
-        crossing = verdicts[x, y] = verdicts[y, x] = _crossing(x, y)
-    if crossing:
-        raise InternalInvariantViolation(f"{what}: {x!r} and {y!r} cross")
+class _Verdicts:
+    """Crossing verdicts of one enumeration or census, keyed on arc ids.
+
+    Each distinct arc gets a small int id when first seen, so a verdict
+    look-up hashes a pair of ints rather than a pair of curves.
+    """
+
+    def __init__(self) -> None:
+        self.arcs: List[Curve] = []
+        self._ids: Dict[Curve, int] = {}
+        self._crossing: Dict[Tuple[int, int], bool] = {}
+
+    def arc_id(self, arc: Curve) -> int:
+        n = self._ids.get(arc)
+        if n is None:
+            n = self._ids[arc] = len(self.arcs)
+            self.arcs.append(arc)
+        return n
+
+    def require_non_crossing(self, x: int, y: int, what: str) -> None:
+        """Raise unless arcs x and y do not cross; each pair is tested once."""
+        crossing = self._crossing.get((x, y))
+        if crossing is None:
+            crossing = _crossing(self.arcs[x], self.arcs[y])
+            self._crossing[x, y] = self._crossing[y, x] = crossing
+        if crossing:
+            raise InternalInvariantViolation(
+                f"{what}: {self.arcs[x]!r} and {self.arcs[y]!r} cross"
+            )
 
 
 def _require_arcs(s: Surface, curves: Iterable[Curve]) -> None:
@@ -376,14 +421,37 @@ def _interleave(c: Tuple[int, int], d: Tuple[int, int]) -> bool:
     return i < k < j < l or k < i < l < j
 
 
+# Where an arc sits in its anchored family: None for an anchor, or
+# (polygon, (i, j)) for the diagonal (i, j) of the inside (0) or outside (1)
+# polygon.
+_Place = Optional[Tuple[int, Tuple[int, int]]]
+
+
+def _held_together(places: Iterable[_Place]) -> bool:
+    """Some member of the family holds an arc at each of these places.
+
+    The lemma of the family-level anchoring check: arcs that are anchors or
+    chords lie in one member exactly when no two of the chords interleave in
+    one polygon, because pairwise non-interleaving diagonals of a convex
+    polygon extend to a triangulation of it.
+    """
+    chords = [place for place in places if place is not None]
+    return not any(
+        c[0] == d[0] and _interleave(c[1], d[1]) for c, d in combinations(chords, 2)
+    )
+
+
 @dataclass(frozen=True)
 class _Family:
     """The anchors of one anchored family and the two polygons they cut out.
 
     The members are the anchors plus any triangulations of the two polygons,
-    whose vertices are lift points (boundary, index) in cyclic order.
-    Iterating yields them, validated on their own; the enumeration calls
-    `members` with the crossing verdicts it shares across families.
+    whose vertices are lift points (boundary, index) in cyclic order, so a
+    family has catalan(n_in - 2) * catalan(n_out - 2) members (`size`).
+    `validate` checks the family once for all of its members and
+    `check_anchoring` checks once that they are anchored by this family
+    alone.  Iterating yields the members, validated on their own; the
+    enumeration calls `members` with the verdicts it shares across families.
     """
 
     surface: Surface
@@ -392,53 +460,81 @@ class _Family:
     outside: Tuple[Tuple[str, int], ...]
 
     def __iter__(self) -> Iterator[FrozenSet[Curve]]:
-        return self.members({})
+        return self.members(_Verdicts())
 
-    def members(
-        self, verdicts: Dict[Tuple[Curve, Curve], bool]
-    ) -> Iterator[FrozenSet[Curve]]:
-        """The members' arc sets, after validating the family once.
+    def size(self) -> int:
+        return catalan(len(self.inside) - 2) * catalan(len(self.outside) - 2)
 
-        The family gets the verdicts every member would get from
-        `is_triangulation`: the anchors pairwise; each diagonal of a polygon
-        as an arc of the surface and against each anchor; each pair of
-        chords of one polygon that can share a triangulation, which is every
-        pair that does not interleave; each (inside, outside) chord pair.
-        Every pair of arcs of every member is among these, so a member is
-        assembled unchecked apart from its size of p + q, which also rules
-        out a chord repeating an anchor.
+    def validate(self, verdicts: _Verdicts) -> Dict[int, _Place]:
+        """Check the family once for all of its members; place each arc id.
+
+        A triangulation of an n-gon has n - 3 diagonals, so the members have
+        the anchors plus max(n - 3, 0) chords per polygon, which must be
+        p + q arcs.  The family then gets the verdicts every member would get
+        from `is_triangulation`: the anchors pairwise; each diagonal of a
+        polygon as an arc of the surface and against each anchor; each pair
+        of chords of one polygon that can share a triangulation, which is
+        every pair that does not interleave; each (inside, outside) chord
+        pair.  Every pair of arcs of every member is among these.  Last, no
+        arc may sit at two places, so distinct triangulations of the
+        polygons give distinct members of p + q distinct arcs.
         """
         s, anchors = self.surface, self.anchors
+        polygons = (self.inside, self.outside)
+        size = len(anchors) + sum(max(len(vertices) - 3, 0) for vertices in polygons)
+        if size != s.rank:
+            raise InternalInvariantViolation(
+                f"an anchored family's members have {size} arcs, not {s.rank}"
+            )
         _require_arcs(s, anchors)
-        for x, y in combinations(anchors, 2):
-            _require_non_crossing(verdicts, x, y, "two anchors cross")
-        polygons = []
-        for vertices in (self.inside, self.outside):
+        anchor_ids = [verdicts.arc_id(x) for x in anchors]
+        for x, y in combinations(anchor_ids, 2):
+            verdicts.require_non_crossing(x, y, "two anchors cross")
+        chord_ids = []
+        for vertices in polygons:
             n = len(vertices)
-            triangulations = _polygon_triangulations(n)
             # The n-gon's diagonals; each lies in some triangulation.
             chords = [
                 (i, j) for i in range(n) for j in range(i + 2, n) if (i, j) != (0, n - 1)
             ]
-            arc = {c: connector(s, vertices[c[0]], vertices[c[1]]) for c in chords}
-            _require_arcs(s, arc.values())
-            for c in chords:
-                for x in anchors:
-                    _require_non_crossing(
-                        verdicts, arc[c], x, "an anchor crosses a chord"
-                    )
-            for c, d in combinations(chords, 2):
+            arcs = [connector(s, vertices[i], vertices[j]) for i, j in chords]
+            _require_arcs(s, arcs)
+            ids = [verdicts.arc_id(arc) for arc in arcs]
+            for x in ids:
+                for y in anchor_ids:
+                    verdicts.require_non_crossing(x, y, "an anchor crosses a chord")
+            for (c, x), (d, y) in combinations(zip(chords, ids), 2):
                 if not _interleave(c, d):
-                    _require_non_crossing(
-                        verdicts, arc[c], arc[d], "two chords of one polygon cross"
+                    verdicts.require_non_crossing(
+                        x, y, "two chords of one polygon cross"
                     )
-            members = [frozenset(arc[c] for c in t) for t in triangulations]
-            polygons.append((list(arc.values()), members))
-        (chords_in, members_in), (chords_out, members_out) = polygons
-        for x in chords_in:
-            for y in chords_out:
-                _require_non_crossing(verdicts, x, y, "chords of the two polygons cross")
-        base = frozenset(anchors)
+            chord_ids.append((chords, ids))
+        (_, ids_in), (_, ids_out) = chord_ids
+        for x in ids_in:
+            for y in ids_out:
+                verdicts.require_non_crossing(x, y, "chords of the two polygons cross")
+        places: Dict[int, _Place] = dict.fromkeys(anchor_ids)
+        for polygon, (chords, ids) in enumerate(chord_ids):
+            places.update(zip(ids, ((polygon, chord) for chord in chords)))
+        if len(places) != len(anchor_ids) + len(ids_in) + len(ids_out):
+            raise InternalInvariantViolation("an anchored family holds an arc twice")
+        return places
+
+    def members(self, verdicts: _Verdicts) -> Iterator[FrozenSet[Curve]]:
+        """The members' arc sets, after `validate`, each checked for p + q arcs."""
+        s = self.surface
+        places = self.validate(verdicts)
+        arc_at = {
+            place: verdicts.arcs[x] for x, place in places.items() if place is not None
+        }
+        members_in, members_out = (
+            [
+                frozenset(arc_at[polygon, chord] for chord in t)
+                for t in _polygon_triangulations(len(vertices))
+            ]
+            for polygon, vertices in enumerate((self.inside, self.outside))
+        )
+        base = frozenset(self.anchors)
         for arcs_in in members_in:
             with_in = base | arcs_in
             for arcs_out in members_out:
@@ -448,6 +544,65 @@ class _Family:
                         f"an anchored family member has {len(arcs)} arcs, not {s.rank}"
                     )
                 yield arcs
+
+    def check_anchoring(
+        self,
+        verdicts: _Verdicts,
+        places: Dict[int, _Place],
+        probes: Dict[Tuple[int, int], List[Tuple[int, ...]]],
+    ) -> None:
+        """Each member is its own `se_canonical` form, in no other family.
+
+        The per-member test `se_canonical(t) == t`, made once for the whole
+        family (`places` is what `validate` returned).  Each bridging arc c
+        of the family gives its candidate (k, a) (`_anchor_candidate`); the
+        probes of each pattern of `_anchor_patterns(s, a)` are un-shifted by
+        k.  Some member holds c and those probes exactly when each probe has
+        a place in the family and `_held_together` accepts the places.  Such
+        a hit at k != 0 gives a member the anchoring shift k, and one at
+        k = 0 on a pattern other than the family's anchors a member that two
+        families share; both raise `InternalInvariantViolation`, as does a
+        family whose own anchors are never hit.  `probes` keeps the probe
+        ids of each (k, a) for the other families of one census.
+
+        Cost: at most one candidate per bridging arc of the family, which has
+        O((p + q)^2) of them, each with at most p + q patterns of at most two
+        probes: O((p + q)^3) look-ups of int ids, and no crossing test.
+        """
+        s = self.surface
+        anchors = {x for x, place in places.items() if place is None}
+        anchored = False
+        for c, place in places.items():
+            arc = verdicts.arcs[c]
+            if not isinstance(arc, Bridging):
+                continue
+            candidate = _anchor_candidate(arc)
+            if candidate is None:
+                continue
+            patterns = probes.get(candidate)
+            if patterns is None:
+                k, a = candidate
+                patterns = probes[candidate] = [
+                    tuple(verdicts.arc_id(probe.se_shifted(-k)) for probe in pattern)
+                    for pattern in _anchor_patterns(s, a)
+                ]
+            for pattern in patterns:
+                if not all(x in places for x in pattern) or not _held_together(
+                    [place, *(places[x] for x in pattern)]
+                ):
+                    continue
+                if candidate[0]:
+                    raise InternalInvariantViolation(
+                        "an anchored family member has the anchoring shift "
+                        f"{candidate[0]}"
+                    )
+                if {c, *pattern} != anchors:
+                    raise InternalInvariantViolation(
+                        "two anchored families share a member"
+                    )
+                anchored = True
+        if not anchored:
+            raise InternalInvariantViolation("no anchored representative")
 
 
 def _plain_family(s: Surface, a: int, b: int) -> _Family:
@@ -474,24 +629,31 @@ def _primed_family(s: Surface, a: int, b: int) -> _Family:
     return _Family(s, tuple(anchors), tuple(inside), tuple(outside))
 
 
-def enumerate_anchored_triangulations(s: Surface) -> List[Triangulation]:
-    """All triangulations in the anchored families, pairwise se-inequivalent.
-
-    Each family is validated once (`_Family.members`) and each distinct pair
-    of arcs is tested for crossing once per call, so the members are built
-    without a check of their own.  The families are disjoint: two members
-    with one arc set raise `InternalInvariantViolation`.
-    """
-    _check_enumeration_size(s)
+def _families(s: Surface) -> List[_Family]:
+    """The anchored families: plain (a, b), then primed (a, b)."""
     families = [
         _plain_family(s, a, b) for a in range(0, -s.q, -1) for b in range(1, a + s.q + 1)
     ]
     families += [
         _primed_family(s, a, b) for a in range(0, -s.p, -1) for b in range(1 - a, s.p + 1)
     ]
-    verdicts: Dict[Tuple[Curve, Curve], bool] = {}
+    return families
+
+
+def enumerate_anchored_triangulations(s: Surface) -> List[Triangulation]:
+    """All triangulations in the anchored families, pairwise se-inequivalent.
+
+    Each family is validated once (`_Family.validate`) and each distinct
+    pair of arcs is tested for crossing once per call, so the members are
+    built without a check of their own.  The families are disjoint: two
+    members with one arc set raise `InternalInvariantViolation`.
+    """
+    _check_enumeration_size(s)
+    verdicts = _Verdicts()
     out = [
-        Triangulation(s, arcs) for family in families for arcs in family.members(verdicts)
+        Triangulation(s, arcs)
+        for family in _families(s)
+        for arcs in family.members(verdicts)
     ]
     if len({t.arcs for t in out}) != len(out):
         raise InternalInvariantViolation("two anchored family members share an arc set")
@@ -504,18 +666,28 @@ def sheaf_class_formula(p: int, q: int) -> int:
     )
 
 
-# Largest number of sheaf classes an enumeration may build.  A class costs
-# about 0.06 ms, mostly its `se_canonical` check (census(5, 5) takes 1.7 to
-# 2.0 s for 31,752 classes, and census(1, 9) 2.0 to 2.8 s for 48,620, on a
-# 2-CPU x86-64 host with CPython 3.11), so the cap bounds an enumeration
-# near 3 s.  It admits every surface with p + q <= 10 and refuses every one
-# with p + q >= 11, the smallest of which has 116,424 classes.
+# Largest number of sheaf classes an enumeration may list.  A class costs
+# about 6 us to list (`enumerate_anchored_triangulations` takes 0.17 to
+# 0.19 s for the 31,752 classes of (5, 5), and 0.27 to 0.33 s for the
+# 48,620 of (1, 9), on a 2-CPU x86-64 host with CPython 3.11) and about
+# 360 bytes to print (`wplarcs --json tilting classes` writes 11 MB in
+# 0.8 s at (5, 5) and 17 MB in 1.3 s at (1, 9)), so the cap bounds a
+# listing near 1.5 s and 20 MB.  It admits every surface with p + q <= 10
+# and refuses every one with p + q >= 11, the smallest of which has 116,424
+# classes.  The census counts without listing and has its own guard,
+# `MAX_CENSUS_RANK`.
 MAX_SHEAF_CLASSES = 50_000
 # The k = 1 term of the formula is catalan(p + q - 1), so from this rank on
 # the cap is passed without evaluating the formula on huge numbers.
 _RANK_OVER_CAP = next(
     n for n in range(1, MAX_SHEAF_CLASSES) if catalan(n - 1) > MAX_SHEAF_CLASSES
 )
+
+# Largest p + q the census admits.  On the host above a census at
+# p + q = 20 takes 0.25 s at (10, 10) to 0.46 s at (1, 19); at p + q = 30
+# it takes 2.4 s at (15, 15) and 5.2 s at (1, 29).  Validation makes O(n^4)
+# verdict look-ups per family, for O(n^2) families, n = p + q.
+MAX_CENSUS_RANK = 20
 
 
 def _check_enumeration_size(s: Surface) -> None:
@@ -529,14 +701,15 @@ def _check_enumeration_size(s: Surface) -> None:
         )
 
 
-def _check_staircases(s: Surface, paths: Iterable[LatticePath]) -> None:
-    """Validate the triangulations `path_to_tilting` reads off the paths.
+def _check_staircases(s: Surface) -> None:
+    """Validate every triangulation `path_to_tilting` reads off a path.
 
     The staircase of a path holds B(x, y) for its points but the closing
     corner (p, q).  Two lattice points lie on one monotone path exactly when
     they are comparable, so each comparable pair's arcs are tested for
-    crossing once, for all paths together; a path then only needs p + q
-    distinct arcs.
+    crossing once, for all paths together.  A path has p + q points besides
+    the corner, so its staircase is a triangulation once the
+    (p + 1)(q + 1) - 1 staircase arcs are pairwise distinct.
     """
     points = [(x, y) for x in range(s.p + 1) for y in range(s.q + 1)][:-1]
     arc = {point: Bridging(s, *point) for point in points}
@@ -545,40 +718,40 @@ def _check_staircases(s: Surface, paths: Iterable[LatticePath]) -> None:
         # x1 <= x2 in this order, so the pair is comparable when y1 <= y2.
         if y1 <= y2 and _crossing(arc[x1, y1], arc[x2, y2]):
             raise InternalInvariantViolation("two arcs of one staircase cross")
-    for path in paths:
-        if len(frozenset(arc[point] for point in path.points[:-1])) != s.rank:
-            raise InternalInvariantViolation("path did not produce a triangulation")
+    if len(set(arc.values())) != len(points):
+        raise InternalInvariantViolation("two lattice points give one staircase arc")
 
 
 def census(p: int, q: int) -> Dict[str, int]:
     """Counts of tilting classes: bundles, fundamental bundles, all sheaves.
 
-    Every count is produced by explicit enumeration and asserted equal to
-    its closed form.  The staircases of all paths are validated together
-    (`_check_staircases`) and the anchored families one family at a time
-    (`enumerate_anchored_triangulations`); each anchored member must be its
-    own `se_canonical` form.
+    Nothing is listed.  The bundle and fundamental classes are lattice
+    paths, counted by `lattice_path_counts` after their staircases are
+    validated together (`_check_staircases`).  The sheaf classes are the
+    members of the anchored families, counted by `_Family.size` after each
+    family is validated (`_Family.validate`) and its members are shown to
+    be their own `se_canonical` forms in no other family
+    (`_Family.check_anchoring`), once per family.  Each count is asserted
+    equal to its closed form.  Surfaces with p + q > MAX_CENSUS_RANK are
+    refused before any work.
     """
+    if p + q > MAX_CENSUS_RANK:
+        raise InvalidArguments(f"census is guarded to p + q <= {MAX_CENSUS_RANK}")
     s = Surface(p, q)
-    _check_enumeration_size(s)
 
-    paths = enumerate_lattice_paths(p, q)
-    _check_staircases(s, paths)
-    bundle_classes = len(paths)
+    _check_staircases(s)
+    bundle_classes, fundamental = lattice_path_counts(p, q)
     if bundle_classes != math.comb(p + q, p):
         raise InternalInvariantViolation("bundle census mismatch")
-
-    fundamental = sum(1 for path in paths if is_dyck(path))
     if fundamental != bizley_count(p, q):
         raise InternalInvariantViolation("fundamental census mismatch")
 
-    anchored = enumerate_anchored_triangulations(s)
-    for t in anchored:
-        if se_canonical(t) != t:
-            raise InternalInvariantViolation(
-                "anchored triangulation is not its own canonical form"
-            )
-    sheaf_classes = len(anchored)
+    verdicts = _Verdicts()
+    probes: Dict[Tuple[int, int], List[Tuple[int, ...]]] = {}
+    sheaf_classes = 0
+    for family in _families(s):
+        family.check_anchoring(verdicts, family.validate(verdicts), probes)
+        sheaf_classes += family.size()
     if sheaf_classes != sheaf_class_formula(p, q):
         raise InternalInvariantViolation("sheaf census mismatch")
 

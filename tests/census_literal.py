@@ -1,18 +1,36 @@
-"""The anchored enumeration that checks every member from scratch, as it once was.
+"""The anchored enumeration and the census that check every member, as they once were.
 
-Kept in the tests as a differential reference for
-`tilting.enumerate_anchored_triangulations`, which validates each anchored
-family once and assembles its members unchecked.  This version passes every
-member through `triangulation()`, so each one is tested by `is_triangulation`
-over all of its pairs in both orders, and it drops repeated arc sets silently
-with a `seen` set.
+Kept in the tests as differential references.  `enumerate_anchored_literal`
+is the reference for `tilting.enumerate_anchored_triangulations`, which
+validates each anchored family once and assembles its members unchecked.
+It passes every member through `triangulation()`, so each one is tested by
+`is_triangulation` over all of its pairs in both orders, and it drops
+repeated arc sets silently with a `seen` set.
+
+`census_literal` is the reference for `tilting.census`, which counts the
+lattice paths and the family members without building them and checks the
+anchoring once per family.  It lists every lattice path and reads its
+staircase with `path_to_tilting`, lists every anchored class, and asks
+`se_canonical` of each class that it is its own canonical form.
 """
 
+import math
 from functools import lru_cache
 from typing import List, Sequence
 
 from wplarcs.core import Bridging, InnerPeripheral, OuterPeripheral, Surface, connector
-from wplarcs.tilting import Triangulation, triangulation
+from wplarcs.errors import InternalInvariantViolation
+from wplarcs.tilting import (
+    Triangulation,
+    bizley_count,
+    enumerate_anchored_triangulations,
+    enumerate_lattice_paths,
+    is_dyck,
+    path_to_tilting,
+    se_canonical,
+    sheaf_class_formula,
+    triangulation,
+)
 
 
 def polygon_triangulations_literal(vertices: Sequence):
@@ -87,3 +105,35 @@ def enumerate_anchored_literal(s: Surface) -> List[Triangulation]:
                     seen.add(arcs)
                     out.append(triangulation(s, arcs))
     return out
+
+
+def census_literal(p: int, q: int):
+    """The three class counts by listing every path and every anchored class."""
+    s = Surface(p, q)
+    paths = enumerate_lattice_paths(p, q)
+    for path in paths:
+        # Raises unless the staircase is a triangulation.
+        path_to_tilting(s, path)
+    bundle_classes = len(paths)
+    if bundle_classes != math.comb(p + q, p):
+        raise InternalInvariantViolation("bundle census mismatch")
+
+    fundamental = sum(1 for path in paths if is_dyck(path))
+    if fundamental != bizley_count(p, q):
+        raise InternalInvariantViolation("fundamental census mismatch")
+
+    anchored = enumerate_anchored_triangulations(s)
+    for t in anchored:
+        if se_canonical(t) != t:
+            raise InternalInvariantViolation(
+                "anchored triangulation is not its own canonical form"
+            )
+    sheaf_classes = len(anchored)
+    if sheaf_classes != sheaf_class_formula(p, q):
+        raise InternalInvariantViolation("sheaf census mismatch")
+
+    return {
+        "bundle_classes": bundle_classes,
+        "fundamental": fundamental,
+        "sheaf_classes": sheaf_classes,
+    }

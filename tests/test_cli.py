@@ -184,6 +184,43 @@ class TestCommands:
         assert code == 0
         assert json.loads(out) == {"word": []}
 
+    def test_normalize_empty_collection(self, capsys):
+        code, out, err = run(
+            capsys, "--p", "2", "--q", "3", "normalize", "--collection", "[]"
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "maximal collection" in err
+
+    @pytest.mark.parametrize(
+        "p,q,total,dyck",
+        [(2, 3, 10, 2), (14, 14, 40_116_600, 2_674_440)],
+    )
+    def test_paths_counted(self, capsys, p, q, total, dyck):
+        code, out, _ = run(capsys, "--p", str(p), "--q", str(q), "--json", "paths")
+        assert code == 0
+        assert json.loads(out) == {"total": total, "dyck": dyck, "bizley": dyck}
+
+    @pytest.mark.parametrize(
+        "p,q,expected",
+        [
+            (10, 10, [184_756, 16_796, 17_067_389_768]),
+            (11, 10, None),
+        ],
+    )
+    def test_census_rank_guard(self, capsys, p, q, expected):
+        code, out, err = run(capsys, "--p", str(p), "--q", str(q), "--json", "census")
+        if expected is None:
+            assert code == 1
+            assert out == ""
+            assert err.startswith("error: ")
+        else:
+            assert code == 0
+            counts = json.loads(out)
+            assert [
+                counts["bundle_classes"], counts["fundamental"], counts["sheaf_classes"]
+            ] == expected
+
     def test_invalid_json_reports_offset(self, capsys):
         code, _, err = run(
             capsys, "--p", "2", "--q", "3", "hom",

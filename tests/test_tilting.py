@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import math
 import random
 
@@ -37,7 +39,7 @@ from wplarcs.tilting import (
 )
 
 from bizley_literal import bizley_count_literal, bizley_count_literal_binomial
-from census_literal import enumerate_anchored_literal
+from census_literal import census_literal, enumerate_anchored_literal
 from se_canonical_literal import scan_bound, se_canonical_literal
 
 S23 = Surface(2, 3)
@@ -345,12 +347,13 @@ class TestCensus:
         assert sheaf_class_formula(2, 3) == 60
 
     def test_guard(self):
-        with pytest.raises(Exception):
-            census(7, 7)
+        assert census(7, 7) == closed_forms(7, 7)
+        for p, q in [(11, 10), (10**18, 3)]:
+            with pytest.raises(InvalidArguments):
+                census(p, q)
 
     def test_size_guard(self):
-        with pytest.raises(InvalidArguments):
-            census(6, 6)
+        assert census(6, 6) == closed_forms(6, 6)
         for p, q in [(5, 6), (1, 10), (6, 6)]:
             assert sheaf_class_formula(p, q) > MAX_SHEAF_CLASSES
             with pytest.raises(InvalidArguments):
@@ -377,6 +380,115 @@ class TestCensus:
         assert result["bundle_classes"] == math.comb(p + q, p)
         assert result["fundamental"] == bizley_count(p, q)
         assert result["sheaf_classes"] == sheaf_class_formula(p, q)
+
+
+def closed_forms(p, q):
+    return {
+        "bundle_classes": math.comb(p + q, p),
+        "fundamental": bizley_count(p, q),
+        "sheaf_classes": sheaf_class_formula(p, q),
+    }
+
+
+LITERAL_SURFACES = [
+    (p, q) for p in range(1, 8) for q in range(1, 8) if p + q <= 8
+] + [(5, 5), (1, 9)]
+
+
+class TestCensusByFamilies:
+    @pytest.mark.parametrize("p,q", LITERAL_SURFACES)
+    def test_matches_the_member_checking_census(self, p, q):
+        assert census(p, q) == census_literal(p, q)
+
+    @pytest.mark.parametrize("p,q", [(6, 6), (8, 8), (10, 10), (1, 19)])
+    def test_closed_forms(self, p, q):
+        assert census(p, q) == closed_forms(p, q)
+
+    @pytest.mark.parametrize(
+        "s", [Surface(p, q) for p in range(1, 6) for q in range(1, 6) if p + q <= 6],
+        ids=str,
+    )
+    def test_lemma_against_members(self, s):
+        # Anchors and chords lie in one member exactly when
+        # `_held_together` accepts their places.
+        for family in tilting._families(s):
+            verdicts = tilting._Verdicts()
+            places = family.validate(verdicts)
+            members = [
+                {verdicts.arc_id(arc) for arc in arcs}
+                for arcs in family.members(verdicts)
+            ]
+            assert len(members) == family.size()
+            for size in (2, 3):
+                for held in itertools.combinations(places, size):
+                    in_a_member = any(set(held) <= member for member in members)
+                    together = tilting._held_together(places[x] for x in held)
+                    assert together == in_a_member
+
+    @pytest.mark.parametrize("k", [1, -1, 2])
+    def test_shifted_family_refused(self, k):
+        # A shifted family is a valid family, but its members are anchored
+        # at shift -k, not 0.
+        for family in tilting._families(S23):
+            shifted = tilting._Family(
+                S23,
+                tuple(x.se_shifted(k) for x in family.anchors),
+                shift_vertices(family.inside, k),
+                shift_vertices(family.outside, k),
+            )
+            verdicts = tilting._Verdicts()
+            places = shifted.validate(verdicts)
+            with pytest.raises(InternalInvariantViolation, match="anchoring shift"):
+                shifted.check_anchoring(verdicts, places, {})
+
+    def test_pattern_of_another_family_refused(self, monkeypatch):
+        # B(0, 0) and B(0, 2) are both anchors of the plain family (0, 2),
+        # so as an extra pattern for a = 0 they are held at k = 0 there.
+        real = tilting._anchor_patterns
+
+        def with_extra(s, a):
+            extra = ((Bridging(s, 0, 2),),) if a == 0 else ()
+            return real(s, a) + extra
+
+        monkeypatch.setattr(tilting, "_anchor_patterns", with_extra)
+        with pytest.raises(InternalInvariantViolation, match="share a member"):
+            census(2, 3)
+
+    def test_unanchored_family_refused(self, monkeypatch):
+        monkeypatch.setattr(tilting, "_anchor_patterns", lambda s, a: ())
+        with pytest.raises(InternalInvariantViolation, match="no anchored"):
+            census(2, 3)
+
+    def test_size_mismatch_refused(self, monkeypatch):
+        real = tilting._plain_family
+
+        def dropping_a_vertex(s, a, b):
+            family = real(s, a, b)
+            return dataclasses.replace(family, outside=family.outside[:-1])
+
+        monkeypatch.setattr(tilting, "_plain_family", dropping_a_vertex)
+        with pytest.raises(InternalInvariantViolation, match="arcs, not"):
+            census(2, 3)
+
+    def test_arc_held_twice_refused(self):
+        family = tilting._plain_family(S23, 0, 3)
+        # B(0, 0) as an extra anchor repeats the anchor B(0, 0), and the
+        # inside polygon loses a vertex so the size still matches.
+        doubled = dataclasses.replace(
+            family,
+            anchors=family.anchors + family.anchors[:1],
+            inside=family.inside[:-1],
+        )
+        with pytest.raises(InternalInvariantViolation, match="holds an arc twice"):
+            doubled.validate(tilting._Verdicts())
+
+
+def shift_vertices(vertices, k):
+    """Lift points moved as the se-shift by k moves arc endpoints."""
+    return tuple(
+        (boundary, index + k if boundary == "inner" else index - k)
+        for boundary, index in vertices
+    )
 
 
 class TestEnumerationAsClasses:
@@ -412,10 +524,13 @@ class TestFamilyValidation:
         literal = [t.arcs for t in enumerate_anchored_literal(s)]
         assert [t.arcs for t in enumerate_anchored_triangulations(s)] == literal
 
-    @pytest.mark.parametrize("p,q,most", [(3, 3, 1_000), (4, 4, 2_500)])
+    @pytest.mark.parametrize(
+        "p,q,most", [(3, 3, 1_000), (4, 4, 2_500), (10, 10, 60_000)]
+    )
     def test_crossing_tests_per_census(self, monkeypatch, p, q, most):
         # Checking every member and every path costs 6,600 calls at (3, 3)
-        # and 141,120 at (4, 4).
+        # and 141,120 at (4, 4).  Validating each family once costs 534,
+        # 1,616 and 58,130.
         calls = [0]
         real = tilting.positive_int
 
@@ -462,6 +577,18 @@ class TestFamilyValidation:
         ):
             list(family)
 
+    def test_repeated_staircase_arc_rejected(self, monkeypatch):
+        # Read (1, 1) as B(0, 0): the pair does not cross, but then a path
+        # through both points gives fewer than p + q arcs.
+        real = tilting.Bridging
+        monkeypatch.setattr(
+            tilting,
+            "Bridging",
+            lambda s, i, j: real(s, 0, 0) if (i, j) == (1, 1) else real(s, i, j),
+        )
+        with pytest.raises(InternalInvariantViolation, match="one staircase arc"):
+            tilting._check_staircases(S23)
+
     def test_duplicate_member_rejected(self, monkeypatch):
         real = tilting._polygon_triangulations
 
@@ -471,7 +598,7 @@ class TestFamilyValidation:
 
         monkeypatch.setattr(tilting, "_polygon_triangulations", repeating_first)
         with pytest.raises(InternalInvariantViolation, match="share an arc set"):
-            census(2, 3)
+            enumerate_anchored_triangulations(S23)
 
     def test_wrong_member_size_rejected(self, monkeypatch):
         # Polygons left untriangulated give members with too few arcs.
@@ -479,7 +606,7 @@ class TestFamilyValidation:
             tilting, "_polygon_triangulations", lambda n: (frozenset(),)
         )
         with pytest.raises(InternalInvariantViolation, match="arcs, not"):
-            census(2, 3)
+            enumerate_anchored_triangulations(S23)
 
 
 class TestEmptyShift:
