@@ -11,9 +11,9 @@ the letters unchecked; the tests apply every letter to the collections
 within a few letters of a fan and check each result.
 
 `normalize_to_theta` sends a maximal ordered collection back to the
-canonical fan by a guided search: a shift estimate, explicit shift words
-(the start-shift word and the full twist), and a bidirectional search over
-single letters.
+canonical fan by one bidirectional search over single letters on
+collections folded by the se-shift, which reads the exact full-twist power
+off the two folds it joins, whatever the shift of the input.
 """
 
 from __future__ import annotations
@@ -249,6 +249,12 @@ def full_twist_word(s: Surface) -> BraidWord:
     return word(r, *(list(range(1, r)) * r))
 
 
+# Longest word `normalize_to_theta` builds.  The full twist has r(r - 1)
+# letters, so at (2, 3) this admits twist powers up to 5 * 10**4; each
+# letter costs about 0.2 us to build and 5 bytes of JSON to print.
+MAX_NORMALIZE_LETTERS = 1_000_000
+
+
 def _compose_power(w: BraidWord, n: int) -> BraidWord:
     if n < 0:
         w = w.inverse()
@@ -261,72 +267,83 @@ def _compose_power(w: BraidWord, n: int) -> BraidWord:
 
 
 def _state_key(arcs: Sequence[Curve]) -> tuple:
-    return tuple(a.key() for a in arcs)
+    return tuple([a.key() for a in arcs])
 
 
-def _neighbors(arcs: tuple):
-    # Every search state is an ordered exceptional collection, so every
-    # letter applies.
-    for idx in range(1, len(arcs)):
-        for sign in (1, -1):
-            yield (idx, sign), _apply_letter(arcs, idx, sign)
+def _fold(arcs: tuple) -> Tuple[int, tuple]:
+    """(k, arcs se-shifted by k), k anchoring the last bridging arc.
+
+    Every se-shift of a collection folds to the same tuple.  A maximal
+    collection holds a bridging arc: an exceptional collection holds at most
+    p - 1 inner and q - 1 outer peripheral arcs.  In searches from scrambled
+    fans the last bridging arc needs a nonzero refold 4 to 12 times less
+    often than the first.
+    """
+    for arc in reversed(arcs):
+        if type(arc) is Bridging:
+            k = arc.anchoring_shift()[0]
+            return k, tuple([a.se_shifted(k) for a in arcs]) if k else arcs
+    raise InternalInvariantViolation("a maximal collection without bridging arcs")
 
 
 def _bidirectional_search(
     start: tuple, goal: tuple, max_depth: int, budget: int
-) -> Optional[List[Tuple[int, int]]]:
-    """Letters (applied right to left) mapping `start` to `goal`."""
+) -> Optional[Tuple[int, List[Tuple[int, int]]]]:
+    """(m, letters): letters (right to left) carrying start to goal se-shifted by m.
+
+    Both sides search folded collections (`_fold`), each state carrying the
+    shift its folds applied; letters commute with the se-shift, so where
+    the sides meet m is the difference of their shifts.  `budget` bounds
+    the states of both sides together.
+    """
+    shift, start = _fold(start)
+    goal_shift, goal = _fold(goal)
     if start == goal:
-        return []
-    # forward states: word acting on start so far (leftmost letter last).
-    fwd: Dict[tuple, List] = {_state_key(start): (start, [])}
-    bwd: Dict[tuple, List] = {_state_key(goal): (goal, [])}
-    fdepth = bdepth = 0
-    while fdepth + bdepth < max_depth:
-        expand_fwd = len(fwd) <= len(bwd)
-        frontier = fwd if expand_fwd else bwd
-        other = bwd if expand_fwd else fwd
-        new: Dict[tuple, List] = {}
-        for state, trail in frontier.values():
-            for letter, nxt in _neighbors(state):
+        return goal_shift - shift, []
+    # Entries: folded state, carried shift, letters so far (leftmost last).
+    sides = (
+        {_state_key(start): (start, shift, [])},
+        {_state_key(goal): (goal, goal_shift, [])},
+    )
+    # Only the last layer of a side has neighbours outside it.
+    layers = [list(sides[0].values()), list(sides[1].values())]
+    alphabet = [(idx, sign) for idx in range(1, len(start)) for sign in (1, -1)]
+    for _ in range(max_depth):
+        side = int(len(sides[0]) > len(sides[1]))  # 0 expands forward
+        seen, other = sides[side], sides[1 - side]
+        new: Dict[tuple, tuple] = {}
+        for state, carried, trail in layers[side]:
+            # Every state is a folded ordered exceptional collection, so every
+            # letter applies.  Letters right of its last bridging arc mutate
+            # peripheral arcs into peripheral arcs, and letters left of it
+            # leave it in place: only the two letters at it can need a refold.
+            last = max(i for i, a in enumerate(state) if type(a) is Bridging)
+            for letter in alphabet:
+                nxt = _apply_letter(state, *letter)
+                k = 0
+                if last <= letter[0] <= last + 1:
+                    k, nxt = _fold(nxt)
                 keyn = _state_key(nxt)
-                if keyn in frontier or keyn in new:
+                if keyn in seen or keyn in new:
                     continue
-                new_trail = trail + [letter]
+                entry = (nxt, carried + k, trail + [letter])
                 hit = other.get(keyn)
                 if hit is not None:
-                    if expand_fwd:
-                        fwd_trail, bwd_trail = new_trail, hit[1]
-                    else:
-                        fwd_trail, bwd_trail = hit[1], new_trail
-                    # Application order: fwd_trail, then bwd_trail undone
-                    # back to front.  Letter tuples read right to left.
-                    inv = [(i, -sg) for i, sg in bwd_trail]
-                    return inv + list(reversed(fwd_trail))
-                new[keyn] = (nxt, new_trail)
-                if len(fwd) + len(bwd) + len(new) > budget:
+                    (_, fwd_shift, fwd), (_, bwd_shift, bwd) = (
+                        (hit, entry) if side else (entry, hit)
+                    )
+                    # Application order: the forward letters, then the
+                    # backward ones undone back to front.
+                    inv = [(i, -sg) for i, sg in bwd]
+                    return bwd_shift - fwd_shift, inv + fwd[::-1]
+                new[keyn] = entry
+                if len(seen) + len(other) + len(new) > budget:
                     return None
         if not new:
             return None
-        frontier.update(new)
-        if expand_fwd:
-            fdepth += 1
-        else:
-            bdepth += 1
+        seen.update(new)
+        layers[side] = list(new.values())
     return None
-
-
-def _mean_winding(arcs: Sequence[Curve], s: Surface):
-    from fractions import Fraction
-
-    vals = [
-        Fraction(a.i, s.p) - Fraction(a.j, s.q)
-        for a in arcs
-        if isinstance(a, Bridging)
-    ]
-    if not vals:
-        return Fraction(1, 2)
-    return sum(vals) / len(vals)
 
 
 def normalize_to_theta(
@@ -334,9 +351,9 @@ def normalize_to_theta(
 ) -> BraidWord:
     """A braid word carrying a maximal ordered collection to the canonical fan.
 
-    Strategy: estimate the global se-shift from mean windings, undo it with
-    the explicit shift macros, and close the remaining gap by bidirectional
-    search over single letters, at most 4r letters deep.
+    One search (`_bidirectional_search`), at most 4r letters deep and within
+    `budget` states, finds letters w carrying the input to the fan
+    se-shifted by an exact m; the answer is (full twist)^m * w.
     """
     arcs = tuple(collection)
     if not arcs:
@@ -350,21 +367,14 @@ def normalize_to_theta(
     if not is_ordered_exceptional_collection(arcs):
         raise NotApplicable("input is not an ordered exceptional collection")
 
-    goal = canonical_theta(s)
-    from fractions import Fraction
-
-    drift = _mean_winding(arcs, s) - Fraction(1, 2)
-    unit = Fraction(1, s.p) + Fraction(1, s.q)
-    base = int(round(drift / unit))
-    twist_inv = full_twist_word(s)
-
-    candidates = sorted(range(base - 4, base + 5), key=lambda m: (abs(m - base), m))
-    for m in candidates:
-        unshifted = se_shift_collection(arcs, -m)
-        letters = _bidirectional_search(unshifted, goal, 4 * r, budget)
-        if letters is None:
-            continue
-        # apply_braid(arcs, w) = se_shift(goal, m); the full twist undoes one
-        # se-shift per application, its inverse adds one.
-        return _compose_power(twist_inv, m) * BraidWord(r, tuple(letters))
-    raise SearchExhausted("no normalizing word found within the search budget")
+    found = _bidirectional_search(arcs, canonical_theta(s), 4 * r, budget)
+    if found is None:
+        raise SearchExhausted("no normalizing word found within the search budget")
+    m, letters = found
+    if r * (r - 1) * abs(m) + len(letters) > MAX_NORMALIZE_LETTERS:
+        raise InvalidArguments(
+            f"the normalizing word holds the full twist {m} times, "
+            f"more than {MAX_NORMALIZE_LETTERS} letters"
+        )
+    # The full twist undoes one se-shift per application, its inverse adds one.
+    return _compose_power(full_twist_word(s), m) * BraidWord(r, tuple(letters))

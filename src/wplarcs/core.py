@@ -276,6 +276,16 @@ class Bridging(_EndpointCurve, start=(OUTER, "j"), end=(INNER, "i")):
     def key(self):
         return (0, self.i, self.j)
 
+    def anchoring_shift(self) -> Tuple[int, int]:
+        """(k, a): the se-shift by k takes this arc to B(0, a), -(p + q) < a <= 0.
+
+        The se-shift by k takes the lift (i, j) to (i + k, j - k), keeping
+        n = i + j; so k = m*p - i with m = ceil(n / (p + q)).
+        """
+        s, n = self.surface, self.i + self.j
+        m = -(-n // (s.p + s.q))
+        return m * s.p - self.i, n - m * (s.p + s.q)
+
     def __repr__(self) -> str:
         return f"B({self.i},{self.j})"
 

@@ -12,8 +12,9 @@ are named by their anchored representative.  `se_canonical` reads at most
 p + q candidate shifts off the bridging arcs and builds one shifted
 triangulation, so its cost does not depend on how far its input is
 shifted.  The enumeration refuses surfaces with more than
-`MAX_SHEAF_CLASSES` classes, and the census those with p + q greater than
-`MAX_CENSUS_RANK`.
+`MAX_SHEAF_CLASSES` classes, the census those with p + q greater than
+`MAX_CENSUS_RANK`, and the path counts those with p*q greater than
+`MAX_PATH_CELLS`.
 
 The census counts families, not members.  An anchored family is a set of
 anchor arcs plus one triangulation of each of the two polygons they cut
@@ -150,8 +151,10 @@ def bizley_count(p: int, q: int) -> int:
     atom_k = binom(k(p' + q'), kp') / (k(p' + q')) (Bizley 1954).  The
     power-series exponential obeys n*F_n = sum_{k=1..n} k*atom_k*F_{n-k}, so
     this takes O(d^2) big-number steps.  The result is asserted integral
-    (census and the tests compare it with enumeration).
+    (census and the tests compare it with enumeration).  Guarded to
+    p*q <= MAX_PATH_CELLS.
     """
+    _check_path_cells(p, q)
     d = math.gcd(p, q)
     p1, n1 = p // d, (p + q) // d
     # k * atom_k, with the k cancelled.
@@ -171,8 +174,10 @@ def lattice_path_counts(p: int, q: int) -> Tuple[int, int]:
     A Dyck path stays weakly below the diagonal (`is_dyck`).  Counted by
     dynamic programming over the columns, with no path built: the ways to
     reach (x, y) are the ways to reach (x - 1, y) and (x, y - 1), and none
-    above the diagonal.  O(p*q) big-number additions.
+    above the diagonal.  O(p*q) big-number additions.  Guarded to
+    p*q <= MAX_PATH_CELLS.
     """
+    _check_path_cells(p, q)
     every = [1] + [0] * q
     dyck = [1] + [0] * q
     for x in range(p + 1):
@@ -287,19 +292,9 @@ def _anchor_patterns(s: Surface, a: int) -> Tuple[Tuple[Curve, ...], ...]:
 
 
 def _anchor_candidate(arc: Bridging) -> Optional[Tuple[int, int]]:
-    """The shift k taking arc to B(0, a), a in (-max(p, q), 0], as (k, a).
-
-    The se-shift by k takes the lift (i, j) to (i + k, j - k), so it keeps
-    r = i + j modulo p + q.  With m = ceil(r / (p + q)), the shift
-    k = m*p - i lands the arc on B(0, r - m*(p + q)): one candidate at most,
-    whatever the shift of the arc.  None when a is out of range.
-    """
-    s = arc.surface
-    n = s.p + s.q
-    r = arc.i + arc.j
-    m = -(-r // n)
-    a = r - m * n
-    return (m * s.p - arc.i, a) if a > -max(s.p, s.q) else None
+    """`Bridging.anchoring_shift`, or None unless a > -max(p, q)."""
+    k, a = arc.anchoring_shift()
+    return (k, a) if a > -max(arc.surface.p, arc.surface.q) else None
 
 
 def _anchor_candidates(t: Triangulation) -> Dict[int, List[int]]:
@@ -688,6 +683,17 @@ _RANK_OVER_CAP = next(
 # it takes 2.4 s at (15, 15) and 5.2 s at (1, 29).  Validation makes O(n^4)
 # verdict look-ups per family, for O(n^2) families, n = p + q.
 MAX_CENSUS_RANK = 20
+
+# Largest p*q the lattice-path counts admit.  On the host above (1000, 1000)
+# takes 0.12 s in `lattice_path_counts` and 1.2 s in `bizley_count`, whose
+# O(gcd(p, q)^2) steps peak on square surfaces; (1, 10**6) takes 0.18 s, and
+# (3000, 3001) takes 1.6 s in the dynamic programme alone.
+MAX_PATH_CELLS = 1_000_000
+
+
+def _check_path_cells(p: int, q: int) -> None:
+    if p * q > MAX_PATH_CELLS:
+        raise InvalidArguments(f"path counts are guarded to p * q <= {MAX_PATH_CELLS}")
 
 
 def _check_enumeration_size(s: Surface) -> None:

@@ -1,0 +1,115 @@
+"""The normalising search with a shift estimate and nine retries, as it once was.
+
+Kept in the tests as a differential reference for `braid.normalize_to_theta`,
+which searches once on collections folded by the se-shift.  This version
+estimates the global se-shift from the mean winding of the bridging arcs,
+then tries the nine shifts nearest the estimate in turn, each with a full
+bidirectional search on unfolded collections under the whole budget.  The
+search expands every state of a side in each round, as it once did.
+
+Letters are applied through `braid._apply_letter`, looked up at each call,
+so a test that patches it counts this search's letters too.
+"""
+
+from fractions import Fraction
+from typing import Dict, List, Optional, Sequence, Tuple
+
+from wplarcs import braid
+from wplarcs.braid import (
+    BraidWord,
+    _check_same_surface,
+    _compose_power,
+    _state_key,
+    canonical_theta,
+    full_twist_word,
+    is_ordered_exceptional_collection,
+    se_shift_collection,
+)
+from wplarcs.core import Bridging, Curve, Surface
+from wplarcs.errors import NotApplicable, SearchExhausted
+
+
+def _neighbors(arcs: tuple):
+    for idx in range(1, len(arcs)):
+        for sign in (1, -1):
+            yield (idx, sign), braid._apply_letter(arcs, idx, sign)
+
+
+def _bidirectional_search(
+    start: tuple, goal: tuple, max_depth: int, budget: int
+) -> Optional[List[Tuple[int, int]]]:
+    """Letters (applied right to left) mapping `start` to `goal`."""
+    if start == goal:
+        return []
+    fwd: Dict[tuple, tuple] = {_state_key(start): (start, [])}
+    bwd: Dict[tuple, tuple] = {_state_key(goal): (goal, [])}
+    fdepth = bdepth = 0
+    while fdepth + bdepth < max_depth:
+        expand_fwd = len(fwd) <= len(bwd)
+        frontier = fwd if expand_fwd else bwd
+        other = bwd if expand_fwd else fwd
+        new: Dict[tuple, tuple] = {}
+        for state, trail in frontier.values():
+            for letter, nxt in _neighbors(state):
+                keyn = _state_key(nxt)
+                if keyn in frontier or keyn in new:
+                    continue
+                new_trail = trail + [letter]
+                hit = other.get(keyn)
+                if hit is not None:
+                    if expand_fwd:
+                        fwd_trail, bwd_trail = new_trail, hit[1]
+                    else:
+                        fwd_trail, bwd_trail = hit[1], new_trail
+                    inv = [(i, -sg) for i, sg in bwd_trail]
+                    return inv + list(reversed(fwd_trail))
+                new[keyn] = (nxt, new_trail)
+                if len(fwd) + len(bwd) + len(new) > budget:
+                    return None
+        if not new:
+            return None
+        frontier.update(new)
+        if expand_fwd:
+            fdepth += 1
+        else:
+            bdepth += 1
+    return None
+
+
+def _mean_winding(arcs: Sequence[Curve], s: Surface) -> Fraction:
+    vals = [
+        Fraction(a.i, s.p) - Fraction(a.j, s.q)
+        for a in arcs
+        if isinstance(a, Bridging)
+    ]
+    if not vals:
+        return Fraction(1, 2)
+    return sum(vals) / len(vals)
+
+
+def normalize_literal(
+    collection: Sequence[Curve], budget: int = 1_000_000
+) -> BraidWord:
+    """The estimate, the nine candidate shifts and a search at each."""
+    arcs = tuple(collection)
+    if not arcs:
+        raise NotApplicable("normalization needs a maximal collection")
+    s = _check_same_surface(*arcs)
+    r = s.rank
+    if len(arcs) != r or not is_ordered_exceptional_collection(arcs):
+        raise NotApplicable("input is not a maximal ordered collection")
+
+    goal = canonical_theta(s)
+    drift = _mean_winding(arcs, s) - Fraction(1, 2)
+    unit = Fraction(1, s.p) + Fraction(1, s.q)
+    base = int(round(drift / unit))
+    twist_inv = full_twist_word(s)
+
+    candidates = sorted(range(base - 4, base + 5), key=lambda m: (abs(m - base), m))
+    for m in candidates:
+        unshifted = se_shift_collection(arcs, -m)
+        letters = _bidirectional_search(unshifted, goal, 4 * r, budget)
+        if letters is None:
+            continue
+        return _compose_power(twist_inv, m) * BraidWord(r, tuple(letters))
+    raise SearchExhausted("no normalizing word found within the search budget")

@@ -33,6 +33,7 @@ from wplarcs.exceptional import (
 )
 
 from conftest import ACCEPT_SURFACES, window_arcs
+from normalize_literal import normalize_literal
 from algebra_oracle import (
     algebraic_left_mutation,
     algebraic_right_mutation,
@@ -459,3 +460,124 @@ class TestOrderingStability:
                     i -= 1
             braid = word(len(L), *reversed(letters))
             assert apply_braid(tuple(ordered), braid) == tuple(L)
+
+
+
+FOLD_SURFACES = [
+    Surface(1, 1),
+    Surface(1, 2),
+    Surface(2, 2),
+    Surface(2, 3),
+    Surface(3, 3),
+    Surface(3, 4),
+    Surface(4, 5),
+]
+
+
+def _letters(rng, r, n):
+    return [rng.choice([1, -1]) * rng.randint(1, r - 1) for _ in range(n)]
+
+
+def _scrambled(s, rng, max_letters=10, max_shift=9):
+    """The canonical fan se-shifted by up to max_shift, then scrambled."""
+    L = se_shift_collection(canonical_theta(s), rng.randint(-max_shift, max_shift))
+    letters = _letters(rng, s.rank, rng.randint(0, max_letters))
+    return apply_braid(L, word(s.rank, *letters), validate=False)
+
+
+def _counting_letters(monkeypatch):
+    calls = [0]
+    apply_letter = braid._apply_letter
+
+    def counting(arcs, idx, sign):
+        calls[0] += 1
+        return apply_letter(arcs, idx, sign)
+
+    monkeypatch.setattr(braid, "_apply_letter", counting)
+    return calls
+
+
+class TestFold:
+    @pytest.mark.parametrize("s", FOLD_SURFACES, ids=str)
+    def test_shifts_fold_to_one_tuple(self, s):
+        rng = random.Random(41)
+        for _ in range(6):
+            L = _scrambled(s, rng)
+            k, folded = braid._fold(L)
+            assert folded == se_shift_collection(L, k)
+            assert braid._fold(folded) == (0, folded)
+            for t in (1, -3, 10**18, -(10**18), rng.randint(-(10**18), 10**18)):
+                assert braid._fold(se_shift_collection(L, t)) == (k - t, folded)
+
+    def test_no_shift_returns_the_input(self):
+        _, folded = braid._fold(se_shift_collection(canonical_theta(S23), 7))
+        assert braid._fold(folded)[1] is folded
+
+    @pytest.mark.parametrize("s", FOLD_SURFACES, ids=str)
+    def test_letters_commute_with_the_se_shift(self, s):
+        rng = random.Random(43)
+        for _ in range(6):
+            L = _scrambled(s, rng)
+            w = word(s.rank, *_letters(rng, s.rank, 8))
+            for t in (1, -3, 10**18):
+                shifted_first = apply_braid(se_shift_collection(L, t), w)
+                assert shifted_first == se_shift_collection(apply_braid(L, w), t)
+
+
+class TestNormalizeFolded:
+    """One folded search against the shift estimate and its nine retries."""
+
+    @pytest.mark.parametrize("s", FOLD_SURFACES, ids=str)
+    def test_matches_the_estimate_with_no_more_letters(self, s, monkeypatch):
+        calls = _counting_letters(monkeypatch)
+        rng = random.Random(47)
+        th = canonical_theta(s)
+        for _ in range(30):
+            L = _scrambled(s, rng)
+            calls[0] = 0
+            folded = normalize_to_theta(L)
+            folded_calls = calls[0]
+            calls[0] = 0
+            literal = normalize_literal(L)
+            literal_calls = calls[0]
+            # Compared by their action: the two may join at other shifts.
+            assert apply_braid(L, folded, validate=False) == th
+            assert apply_braid(L, literal, validate=False) == th
+            assert folded_calls <= literal_calls, (L, folded_calls, literal_calls)
+
+    @pytest.mark.parametrize("s", [S23, Surface(3, 4), Surface(4, 5)], ids=str)
+    def test_work_does_not_depend_on_the_shift(self, s, monkeypatch):
+        calls = _counting_letters(monkeypatch)
+        rng = random.Random(53)
+        th = canonical_theta(s)
+        for _ in range(4):
+            L = _scrambled(s, rng, max_letters=6, max_shift=0)
+            found, counts = [], []
+            for t in (0, 10**6):
+                calls[0] = 0
+                shifted = se_shift_collection(L, t)
+                found.append(braid._bidirectional_search(shifted, th, 4 * s.rank, 10**6))
+                counts.append(calls[0])
+            (m0, letters0), (m1, letters1) = found
+            assert counts[0] == counts[1]
+            assert letters0 == letters1 and m1 - m0 == 10**6
+            # normalize_to_theta makes the same search, then refuses the
+            # word of 10**6 full twists.
+            calls[0] = 0
+            with pytest.raises(InvalidArguments):
+                normalize_to_theta(se_shift_collection(L, 10**6))
+            assert calls[0] == counts[0]
+
+    def test_huge_shift_is_refused_before_the_word_is_built(self, monkeypatch):
+        built = []
+        post_init = BraidWord.__post_init__
+
+        def counting(self):
+            built.append(len(self.letters))
+            post_init(self)
+
+        monkeypatch.setattr(BraidWord, "__post_init__", counting)
+        L = se_shift_collection(canonical_theta(S23), 10**18)
+        with pytest.raises(InvalidArguments, match="full twist"):
+            normalize_to_theta(L)
+        assert built == []

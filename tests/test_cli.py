@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -22,6 +23,7 @@ from wplarcs.core import (
     line_bundle,
     normal_form,
 )
+from wplarcs.braid import canonical_theta, se_shift_collection
 from wplarcs.exceptional import is_ordered_exceptional_collection
 
 S23 = Surface(2, 3)
@@ -192,6 +194,26 @@ class TestCommands:
         assert out == ""
         assert err.startswith("error: ") and "maximal collection" in err
 
+    def test_normalize_at_a_huge_shift_is_refused(self, capsys):
+        # The search finds the twist power 10**18 exactly; the word it
+        # stands for is refused before any letter of it is built.
+        collection = json.dumps(
+            [print_curve(a) for a in se_shift_collection(canonical_theta(S23), 10**18)]
+        )
+        code, out, err = run(
+            capsys, "--p", "2", "--q", "3", "--json", "normalize",
+            "--collection", collection,
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_paths_size_guard(self, capsys):
+        code, out, err = run(capsys, "--p", "100000", "--q", "100000", "--json", "paths")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     @pytest.mark.parametrize(
         "p,q,total,dyck",
         [(2, 3, 10, 2), (14, 14, 40_116_600, 2_674_440)],
@@ -314,6 +336,46 @@ class TestRender:
         doc = out.read_text()
         assert 'class="arc"' not in doc
         assert "<line" in doc
+
+    @pytest.mark.parametrize(
+        "collection,window,digest",
+        [
+            (None, ("0", "2"), "93557a181dd83d70b45151bff4c1990b68a71fbde63a74ef506a5a46837a0225"),
+            ("[]", ("0", "1"), "efd9f7849762c75b8a388da0692ea965d3953f6c3074cf107ac470ea4148a346"),
+        ],
+        ids=["theta", "empty"],
+    )
+    def test_bytes_unchanged(self, tmp_path, capsys, collection, window, digest):
+        # Digests of the SVGs the float lift scan wrote before the lift range
+        # was computed with integers.
+        out = tmp_path / "u.svg"
+        code, _, _ = run(
+            capsys, "--p", "2", "--q", "3", "render",
+            "--collection", collection or self._theta_json(),
+            "--window", *window, "--out", str(out),
+        )
+        assert code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "collection,window",
+        [
+            (json.dumps([{"kind": "bridging", "i": 0, "j": 10**18}]), ("0", "2")),
+            (None, ("0", "100000000")),
+        ],
+        ids=["lift-at-1e18", "window-1e8"],
+    )
+    def test_size_guard(self, tmp_path, capsys, collection, window):
+        out = tmp_path / "g.svg"
+        code, stdout, err = run(
+            capsys, "--p", "2", "--q", "3", "render",
+            "--collection", collection or self._theta_json(),
+            "--window", *window, "--out", str(out),
+        )
+        assert code == 1
+        assert stdout == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_degenerate_rejected(self, tmp_path, capsys):
         out = tmp_path / "d.svg"

@@ -274,6 +274,17 @@ class TestEndpointModel:
                 assert lift.aligned("start", c.start[1]) == c
                 assert lift.aligned("end", c.end[1]) == c
 
+    @pytest.mark.parametrize("s", ACCEPT_SURFACES + [Surface(4, 5)], ids=str)
+    def test_anchoring_shift(self, s):
+        for c in window_arcs(s):
+            if not isinstance(c, Bridging):
+                continue
+            k, a = c.anchoring_shift()
+            assert c.se_shifted(k) == Bridging(s, 0, a)
+            assert -(s.p + s.q) < a <= 0
+            for t in SHIFTS:
+                assert c.se_shifted(t).anchoring_shift() == (k - t, a)
+
     @pytest.mark.parametrize("s", ACCEPT_SURFACES, ids=str)
     def test_connector_matches_old_helpers(self, s):
         points = [(INNER, i) for i in range(-2 * s.p, 2 * s.p + 1)]

@@ -366,6 +366,17 @@ class TestCensus:
             assert sheaf_class_formula(p, q) <= MAX_SHEAF_CLASSES
             tilting._check_enumeration_size(Surface(p, q))
 
+    def test_path_counts_guard(self, monkeypatch):
+        # Refused before any work: a patched counter would raise if reached.
+        monkeypatch.setattr(tilting, "Fraction", None)
+        for p, q in [(100_000, 100_000), (1, tilting.MAX_PATH_CELLS + 1)]:
+            for count in (tilting.lattice_path_counts, bizley_count):
+                with pytest.raises(InvalidArguments):
+                    count(p, q)
+        monkeypatch.undo()
+        assert tilting.lattice_path_counts(14, 14) == (40_116_600, 2_674_440)
+        assert bizley_count(14, 14) == 2_674_440
+
     def test_cli_classes_guarded(self, capsys):
         code = main(["--p", "6", "--q", "6", "tilting", "classes"])
         captured = capsys.readouterr()
