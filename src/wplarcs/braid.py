@@ -38,7 +38,8 @@ from .errors import (
 )
 from .exceptional import (
     OrderedCollection,
-    _arc_pair_ok,
+    _anchor,
+    _pair_verdict,
     is_ordered_exceptional_collection,
 )
 from .intersect import (
@@ -108,6 +109,7 @@ def _smooth_crossing(alpha: Curve, beta: Curve) -> Curve:
     return g4 if deg3 else g3
 
 
+# Mutations tabled up to twist, in anchored form; see `exceptional._anchor`.
 _MUTATE_CACHE: Dict[tuple, Curve] = {}
 
 
@@ -115,18 +117,21 @@ def mutate_pair(alpha: Curve, beta: Curve, side: str) -> Curve:
     """Left mutation of beta at alpha, or right mutation of alpha at beta."""
     if side not in (LEFT, RIGHT):
         raise InvalidArguments("side must be 'left' or 'right'")
-    cache_key = (alpha.surface, alpha.key(), beta.key(), side)
-    hit = _MUTATE_CACHE.get(cache_key)
+    anchored = _anchor(alpha, beta)
+    if anchored is None:
+        raise NotExceptional(f"({alpha!r}, {beta!r}) is not an exceptional pair")
+    key, u, v = anchored
+    hit = _MUTATE_CACHE.get((key, side))
     if hit is not None:
-        return hit
+        return hit.twisted(u, v)
     result = _mutate_pair(alpha, beta, side)
-    _MUTATE_CACHE[cache_key] = result
+    _MUTATE_CACHE[key, side] = result.twisted(-u, -v)
     return result
 
 
 def _mutate_pair(alpha: Curve, beta: Curve, side: str) -> Curve:
     s = _check_same_surface(alpha, beta)
-    if not _arc_pair_ok(alpha, beta):
+    if not _pair_verdict(alpha, beta):
         raise NotExceptional(f"({alpha!r}, {beta!r}) is not an exceptional pair")
 
     if positive_int(alpha, beta) >= 1:

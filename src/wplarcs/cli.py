@@ -33,6 +33,7 @@ from .core import (
 from .errors import (
     InternalInvariantViolation,
     InvalidArguments,
+    NotApplicable,
     WplArcsError,
 )
 
@@ -367,7 +368,9 @@ def _cmd_mutate(args, s: Surface) -> int:
 def _cmd_check(args, s: Surface) -> int:
     arcs = parse_collection(s, _loads(args.collection))
     collection = exc_mod.ArcCollection.of(s, arcs)
-    order = exc_mod.order_collection(collection)
+    # The set drops a repeated arc, and no exceptional collection repeats one.
+    distinct = len(collection) == len(arcs)
+    order = exc_mod.order_collection(collection) if distinct else None
     ordered = exc_mod.is_ordered_exceptional_collection(tuple(arcs))
     payload = {
         "exceptional_collection": order is not None,
@@ -381,6 +384,8 @@ def _cmd_check(args, s: Surface) -> int:
 def _cmd_complete(args, s: Surface) -> int:
     arcs = parse_collection(s, _loads(args.collection))
     collection = exc_mod.ArcCollection.of(s, arcs)
+    if len(collection) != len(arcs):
+        raise NotApplicable("input is not an exceptional collection: an arc repeats")
     completed = exc_mod.complete_to_maximal(collection)
     payload = {"collection": [print_curve(c) for c in completed]}
     return _emit(args, payload, " ".join(repr(c) for c in completed))

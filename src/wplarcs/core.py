@@ -239,6 +239,16 @@ class _EndpointCurve:
         _set(lift, self._y, y + k * self._y_period(s))
         return lift
 
+    def twisted(self, u: int, v: int):
+        """This curve under a line-bundle twist: inner indices move by u and
+        outer ones by v; (u, v) = (p, q) is the deck translation."""
+        x, y = self._indices(self)
+        return type(self)(
+            self.surface,
+            x + (u if self._x_step > 0 else v),
+            y + (u if self._y_step > 0 else v),
+        )
+
     def aligned(self, role: str, index: int):
         """The lift whose start or end (`role`) index is `index`, when congruent.
 

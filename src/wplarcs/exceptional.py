@@ -65,21 +65,97 @@ def is_exceptional_pair(E: SheafClass, F: SheafClass) -> bool:
     return hom_dim(F, E) == 0 and ext1_dim(F, E) == 0
 
 
-# Pair verdicts are consulted heavily by collection operations; cache them
-# per (surface, arc, arc) key.
+# Pair verdicts are tabled up to twist.  Twisting by a line bundle is an
+# autoequivalence of coh-X(p, q) (Geigle-Lenzing 1987).  On arcs it moves
+# every inner index by u and every outer one by v: B(i, j) -> B(i + u, j + v),
+# IP(a, b) -> IP(a + u, b + u), OP(a, b) -> OP(a + v, b + v); (u, v) = (p, q)
+# is the deck translation, the relation p*x1 = q*x2.  So the pair test, and
+# mutation (`braid._MUTATE_CACHE`), depend on a pair only up to a twist, and
+# the tables key on the pair twisted to its anchor (`_anchor`).  Bridging
+# pairs more than q apart are answered by Lemma 1 of `complete_to_maximal`
+# without the table; every other pair anchors to one of
+#     p(2q + 1) + p(p^2 - 1) + q(q^2 - 1) + 2(p - 1)(q - 1)
+# pairs per surface: B(0, 0) first with B(x, y), 0 <= x < p, |y| <= q, or
+# with a peripheral arc; a peripheral arc first with B(0, 0); or two
+# peripheral arcs, the first starting at 0 and the other at 0 if on the
+# other boundary.  That bounds `_PAIR_CACHE`, and twice it `_MUTATE_CACHE`
+# (one entry a side), whatever the windings seen, so neither table evicts.
 _PAIR_CACHE: Dict[tuple, bool] = {}
 
 
-def _arc_pair_ok(alpha: Curve, beta: Curve) -> bool:
+def _pair_verdict(alpha: Curve, beta: Curve) -> bool:
     """(E, F) = (phi(alpha), phi(beta)) is an exceptional pair: the counts
     are Ext^1(F, E) and, through the se-shift (Serre duality), Hom(F, E)."""
-    key = (alpha.surface, alpha.key(), beta.key())
+    return alpha.is_arc() and beta.is_arc() and (
+        positive_int(beta, alpha) == 0 == positive_int(alpha.se_shifted(1), beta)
+    )
+
+
+def _anchored(arc: Curve, u: int, v: int, p: int, q: int) -> Optional[tuple]:
+    """(kind, x, y) of `arc` twisted by (-u, -v), x normalised to [0, period);
+    None, before any twist, when `arc` is not an arc."""
+    t = type(arc)
+    if t is Bridging:
+        k = (arc.i - u) // p
+        return 0, arc.i - u - k * p, arc.j - v - k * q
+    if t is InnerPeripheral:
+        kind, x, period = 1, arc.a - u, p
+    elif t is OuterPeripheral:
+        kind, x, period = 2, arc.a - v, q
+    else:
+        return None
+    span = arc.b - arc.a
+    if not 2 <= span <= period:
+        return None
+    x %= period
+    return kind, x, x + span
+
+
+def _anchor(alpha: Curve, beta: Curve) -> Optional[Tuple[tuple, int, int]]:
+    """(key, u, v): twisting the anchored pair that `key` encodes by (u, v)
+    gives (alpha, beta).  None when the pair is not exceptional because a
+    curve is not an arc (a loop, a degenerate or a wrapping curve), or by
+    Lemma 1; such pairs never reach a table.
+
+    The anchor is the pair's first bridging arc, moved to B(0, 0); with
+    none, each peripheral start moves to 0.
+    """
+    s, t = alpha.surface, beta.surface
+    p, q = s.p, s.q
+    if t.p != p or t.q != q:
+        _check_same_surface(alpha, beta)
+    if type(alpha) is Bridging:
+        u, v = alpha.i, alpha.j
+        b = _anchored(beta, u, v, p, q)
+        if b is None or b[0] == 0 and not -q <= b[2] <= q:
+            return None
+        return (p, q, 0, 0, 0) + b, u, v
+    if type(beta) is Bridging:
+        u, v = beta.i, beta.j
+        a = _anchored(alpha, u, v, p, q)
+        return None if a is None else ((p, q) + a + (0, 0, 0), u, v)
+    u = v = 0
+    for arc in (beta, alpha):  # alpha's start wins on a shared boundary
+        if type(arc) is InnerPeripheral:
+            u = arc.a
+        elif type(arc) is OuterPeripheral:
+            v = arc.a
+    a = _anchored(alpha, u, v, p, q)
+    b = _anchored(beta, u, v, p, q)
+    if a is None or b is None:
+        return None
+    return (p, q) + a + b, u, v
+
+
+def _arc_pair_ok(alpha: Curve, beta: Curve) -> bool:
+    """`_pair_verdict`, tabled up to twist."""
+    anchored = _anchor(alpha, beta)
+    if anchored is None:
+        return False
+    key = anchored[0]
     hit = _PAIR_CACHE.get(key)
     if hit is None:
-        hit = alpha.is_arc() and beta.is_arc() and (
-            positive_int(beta, alpha) == 0 == positive_int(alpha.se_shifted(1), beta)
-        )
-        _PAIR_CACHE[key] = hit
+        hit = _PAIR_CACHE[key] = _pair_verdict(alpha, beta)
     return hit
 
 

@@ -169,6 +169,28 @@ class TestCommands:
         assert code == 0
         assert json.loads(out)["collection"] == json.loads(collection)
 
+    # B(2, 3) is B(0, 0) one turn on: the same arc.
+    @pytest.mark.parametrize("second", [(0, 0), (2, 3)], ids=str)
+    def test_repeated_arc_is_not_a_collection(self, capsys, second):
+        collection = json.dumps(
+            [
+                {"kind": "bridging", "i": 0, "j": 0},
+                {"kind": "bridging", "i": second[0], "j": second[1]},
+            ]
+        )
+        base = ["--p", "2", "--q", "3", "--json"]
+        code, out, _ = run(capsys, *base, "check", "--collection", collection)
+        assert code == 0
+        assert json.loads(out) == {
+            "exceptional_collection": False,
+            "order": None,
+            "ordered_as_given": False,
+        }
+        code, out, err = run(capsys, *base, "complete", "--collection", collection)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "repeats" in err
+
     def test_normalize_empty_word(self, capsys):
         collection = json.dumps(
             [

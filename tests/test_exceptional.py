@@ -29,6 +29,7 @@ from wplarcs.exceptional import (
     _arc_pair_ok,
     _bridging_pool,
     _can_add,
+    _pair_verdict,
     _precedence_edges,
     DISJOINT,
     EXCEPTIONAL_CROSSING,
@@ -268,32 +269,30 @@ class TestOnePassCompletion:
     """The facts that make one first-fit pass complete every collection."""
 
     @pytest.mark.parametrize("s", LEMMA_SURFACES, ids=str)
-    def test_far_bridging_arcs_never_pair(self, s, monkeypatch):
+    def test_far_bridging_arcs_never_pair(self, s):
         # Lemma 1: B(i, j), B(i', j') with i, i' in [0, p) form an
         # exceptional pair in some order only if |j - j'| <= q.
-        monkeypatch.setattr(exceptional, "_PAIR_CACHE", {})
         bridging = [a for a in window_arcs(s, turns=3) if isinstance(a, Bridging)]
         pairs = 0
         for a in bridging:
             for b in bridging:
                 if abs(a.j - b.j) > s.q:
-                    assert not _arc_pair_ok(a, b), (a, b)
-                elif _arc_pair_ok(a, b):
+                    assert not _pair_verdict(a, b), (a, b)
+                elif _pair_verdict(a, b):
                     pairs += 1
         assert pairs > 0
 
     @pytest.mark.parametrize("s", LEMMA_SURFACES, ids=str)
-    def test_peripheral_verdicts_depend_on_j_mod_q(self, s, monkeypatch):
+    def test_peripheral_verdicts_depend_on_j_mod_q(self, s):
         # Lemma 2: against a peripheral arc, B(i, j) behaves as B(i, j mod q).
-        monkeypatch.setattr(exceptional, "_PAIR_CACHE", {})
         arcs = window_arcs(s, turns=3)
         peripheral = [a for a in arcs if not isinstance(a, Bridging)]
         for b in arcs:
             if isinstance(b, Bridging):
                 rep = Bridging(s, b.i, b.j % s.q)
                 for c in peripheral:
-                    assert _arc_pair_ok(b, c) == _arc_pair_ok(rep, c), (b, c)
-                    assert _arc_pair_ok(c, b) == _arc_pair_ok(c, rep), (b, c)
+                    assert _pair_verdict(b, c) == _pair_verdict(rep, c), (b, c)
+                    assert _pair_verdict(c, b) == _pair_verdict(c, rep), (b, c)
 
     @pytest.mark.parametrize("s", RANK_8_SURFACES, ids=str)
     def test_seeds_without_bridging_arcs(self, s):
@@ -394,6 +393,7 @@ class TestArcsAlone:
         for a, E in zip(arcs, sheaves):
             for b, F in zip(arcs, sheaves):
                 expected = exceptional_pair_oracle(E, F)
+                assert _pair_verdict(a, b) == expected, (a, b)
                 assert _arc_pair_ok(a, b) == expected, (a, b)
                 assert is_exceptional_pair(E, F) == expected, (a, b)
 

@@ -1,0 +1,227 @@
+"""The pair-verdict and mutation tables: keyed up to twist, bounded by (p, q)."""
+
+import random
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from wplarcs import braid, exceptional
+from wplarcs.braid import (
+    LEFT,
+    RIGHT,
+    _mutate_pair,
+    apply_braid,
+    canonical_theta,
+    mutate_pair,
+    normalize_to_theta,
+    se_shift_collection,
+    word,
+)
+from wplarcs.core import (
+    Bridging,
+    InnerPeripheral,
+    Loop,
+    OuterPeripheral,
+    Surface,
+    normal_form,
+    phi,
+    twist,
+)
+from wplarcs.errors import NotExceptional, SurfaceMismatch
+from wplarcs.exceptional import (
+    ArcCollection,
+    _anchor,
+    _arc_pair_ok,
+    _pair_verdict,
+    complete_to_maximal,
+    is_ordered_exceptional_collection,
+)
+
+from conftest import window_arcs
+
+KINDS = (Bridging, InnerPeripheral, OuterPeripheral)
+MIX_SURFACES = [Surface(2, 3), Surface(3, 4), Surface(4, 5)]
+WINDINGS = [0, 10**9, -(10**9), 10**18, -(10**18)]
+TWISTS = [(0, 0), (1, 0), (0, -1), (10**18, -(10**18) + 1), (-(10**9), 7)]
+
+
+def table_bound(s: Surface) -> int:
+    """Anchored pairs on a surface, as the `exceptional` module comment counts them."""
+    p, q = s.p, s.q
+    return p * (2 * q + 1) + p * (p * p - 1) + q * (q * q - 1) + 2 * (p - 1) * (q - 1)
+
+
+def anchored_pair(key: tuple):
+    p, q, ka, xa, ya, kb, xb, yb = key
+    s = Surface(p, q)
+    return KINDS[ka](s, xa, ya), KINDS[kb](s, xb, yb)
+
+
+def letters(rng: random.Random, r: int, n: int) -> list:
+    return [rng.choice([1, -1]) * rng.randint(1, r - 1) for _ in range(n)]
+
+
+@pytest.fixture
+def empty_tables(monkeypatch):
+    monkeypatch.setattr(exceptional, "_PAIR_CACHE", {})
+    monkeypatch.setattr(braid, "_MUTATE_CACHE", {})
+
+
+class TestTwist:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_twisted_is_the_line_bundle_twist(self, data):
+        s = data.draw(st.sampled_from(MIX_SURFACES))
+        arc = data.draw(st.sampled_from(window_arcs(s, turns=1)))
+        u = data.draw(st.integers(-(10**18), 10**18))
+        v = data.draw(st.integers(-(10**18), 10**18))
+        assert phi(arc.twisted(u, v)) == twist(phi(arc), normal_form(u, -v, 0, s))
+        assert arc.twisted(s.p, s.q) == arc  # the deck translation
+
+
+class TestEquivariance:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_pair_test_and_mutation_commute_with_twists(self, data):
+        s = data.draw(st.sampled_from([Surface(1, 2), Surface(2, 2)] + MIX_SURFACES))
+        arcs = window_arcs(s, turns=1)
+        alpha = data.draw(st.sampled_from(arcs))
+        beta = data.draw(st.sampled_from(arcs))
+        u = data.draw(st.integers(-(10**18), 10**18))
+        v = data.draw(st.integers(-(10**18), 10**18))
+        moved = (alpha.twisted(u, v), beta.twisted(u, v))
+        verdict = _pair_verdict(alpha, beta)
+        assert _pair_verdict(*moved) == verdict
+        assert _arc_pair_ok(*moved) == _arc_pair_ok(alpha, beta) == verdict
+        keys = [a and a[0] for a in (_anchor(alpha, beta), _anchor(*moved))]
+        assert keys[0] == keys[1]
+        for side in (LEFT, RIGHT):
+            if verdict:
+                expected = _mutate_pair(alpha, beta, side).twisted(u, v)
+                assert _mutate_pair(*moved, side) == expected
+                assert mutate_pair(*moved, side) == expected
+                assert mutate_pair(alpha, beta, side).twisted(u, v) == expected
+            else:
+                with pytest.raises(NotExceptional):
+                    mutate_pair(*moved, side)
+
+
+class TestTables:
+    @pytest.fixture
+    def mixed_run(self, empty_tables):
+        """Completions at windings 0, +-1e9 and +-1e18, braids and
+        normalisations on each mix surface."""
+        rng = random.Random(17)
+        for s in MIX_SURFACES:
+            r = s.rank
+            fan = canonical_theta(s)
+            for _ in range(4):
+                scrambled = apply_braid(fan, word(r, *letters(rng, r, rng.randint(0, 6))))
+                for w in WINDINGS:
+                    arcs = se_shift_collection(scrambled, w)
+                    seed = [rng.choice([a for a in arcs if isinstance(a, Bridging)])]
+                    peripheral = [a for a in arcs if not isinstance(a, Bridging)]
+                    seed += rng.sample(peripheral, min(rng.randint(0, 2), len(peripheral)))
+                    completed = complete_to_maximal(ArcCollection.of(s, seed))
+                    assert set(seed) <= set(completed)
+                    assert is_ordered_exceptional_collection(completed)
+                    w_letters = word(r, *letters(rng, r, 10))
+                    moved = apply_braid(arcs, w_letters)
+                    assert apply_braid(moved, w_letters.inverse()) == arcs
+                shift = rng.randint(-5, 5)
+                start = apply_braid(
+                    se_shift_collection(fan, shift), word(r, *letters(rng, r, 4))
+                )
+                assert apply_braid(start, normalize_to_theta(start)) == fan
+
+    def test_entries_match_the_uncached_answers(self, mixed_run):
+        for key, verdict in exceptional._PAIR_CACHE.items():
+            alpha, beta = anchored_pair(key)
+            assert _anchor(alpha, beta)[0] == key
+            for u, v in TWISTS:
+                assert _pair_verdict(alpha.twisted(u, v), beta.twisted(u, v)) == verdict
+        for (key, side), entry in braid._MUTATE_CACHE.items():
+            alpha, beta = anchored_pair(key)
+            assert _anchor(alpha, beta)[0] == key
+            for u, v in TWISTS:
+                moved = (alpha.twisted(u, v), beta.twisted(u, v))
+                assert entry.twisted(u, v) == _mutate_pair(*moved, side)
+
+    def test_sizes_stay_within_the_bound(self, mixed_run):
+        for s in MIX_SURFACES:
+            pairs = [k for k in exceptional._PAIR_CACHE if k[:2] == (s.p, s.q)]
+            mutations = [k for k, _ in braid._MUTATE_CACHE if k[:2] == (s.p, s.q)]
+            assert 0 < len(pairs) <= table_bound(s)
+            assert 0 < len(mutations) <= 2 * table_bound(s)
+
+    @pytest.mark.parametrize(
+        "s", [Surface(1, 1), Surface(1, 3), Surface(2, 3), Surface(3, 3), Surface(4, 5)],
+        ids=str,
+    )
+    def test_bound_counts_every_anchored_pair(self, s):
+        # Bridging arcs within 3 turns reach every anchored bridging pair
+        # (|y| <= q), so the keys met are exactly the bounded set.
+        arcs = window_arcs(s, turns=3)
+        keys = set()
+        for alpha in arcs:
+            for beta in arcs:
+                anchored = _anchor(alpha, beta)
+                if anchored is not None:
+                    keys.add(anchored[0])
+        assert len(keys) == table_bound(s)
+
+    @pytest.mark.parametrize("s", MIX_SURFACES, ids=str)
+    def test_completion_hits_at_every_winding(self, s, empty_tables):
+        # Moving every outer index by a multiple of q leaves the peripheral
+        # pool and the order of the bridging window as they were, so the
+        # completion moves with the seed and meets only tabled pairs.
+        seed = [Bridging(s, 1, 2), OuterPeripheral(s, 0, 2)]
+        completed = complete_to_maximal(ArcCollection.of(s, seed))
+        sizes = len(exceptional._PAIR_CACHE), len(braid._MUTATE_CACHE)
+        for w in WINDINGS:
+            far = [a.twisted(0, w * s.q) for a in seed]
+            assert complete_to_maximal(ArcCollection.of(s, far)) == tuple(
+                a.twisted(0, w * s.q) for a in completed
+            )
+        assert (len(exceptional._PAIR_CACHE), len(braid._MUTATE_CACHE)) == sizes
+
+
+class TestNonArcs:
+    @pytest.mark.parametrize("s", [Surface(2, 3), Surface(3, 4)], ids=str)
+    def test_never_anchored_nor_tabled(self, s, empty_tables):
+        non_arcs = [
+            Loop(s, 1, "t"),
+            InnerPeripheral(s, 0, 1),
+            InnerPeripheral(s, 0, s.p + 1),
+            OuterPeripheral(s, 0, 1),
+            OuterPeripheral(s, 0, s.q + 1),
+        ]
+        partners = [
+            Bridging(s, 0, 0),
+            Bridging(s, 1, 10**18),
+            InnerPeripheral(s, 0, 2),
+            OuterPeripheral(s, 1, 3),
+        ] + non_arcs
+        for bad in non_arcs:
+            for other in partners:
+                for pair in ((bad, other), (other, bad)):
+                    assert _arc_pair_ok(*pair) is False
+                    for side in (LEFT, RIGHT):
+                        with pytest.raises(NotExceptional):
+                            mutate_pair(*pair, side)
+        assert exceptional._PAIR_CACHE == {} and braid._MUTATE_CACHE == {}
+
+
+class TestSurfaces:
+    def test_mixed_surfaces_are_refused_even_when_tabled(self, empty_tables):
+        # The key holds the first arc's (p, q) only, so a pair whose second
+        # arc lies on another surface must be refused before the look-up.
+        s, other = Surface(2, 3), Surface(2, 5)
+        alpha, beta = Bridging(s, 0, 0), Bridging(s, 1, 0)
+        assert _arc_pair_ok(alpha, beta)
+        mutate_pair(alpha, beta, LEFT)
+        stranger = Bridging(other, 1, 0)
+        with pytest.raises(SurfaceMismatch):
+            _arc_pair_ok(alpha, stranger)
+        with pytest.raises(SurfaceMismatch):
+            mutate_pair(alpha, stranger, LEFT)
