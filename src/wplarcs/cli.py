@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 1 invalid input, 2 internal invariant violation.
 With --json every command prints exactly one JSON document; rendering is
-deterministic byte for byte.
+deterministic byte for byte.  Only `core` is imported with this module: each
+command imports the layers it runs when it runs, so a one-shot process
+compiles no layer it does not use.
 """
 
 from __future__ import annotations
@@ -10,11 +12,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Any, Dict, List, Sequence
+from typing import TYPE_CHECKING, Any, Dict, List, Sequence
 
-from . import braid as braid_mod
-from . import exceptional as exc_mod
-from . import homext, tilting
 from .core import (
     Bridging,
     Curve,
@@ -33,9 +32,11 @@ from .core import (
 from .errors import (
     InternalInvariantViolation,
     InvalidArguments,
-    NotApplicable,
     WplArcsError,
 )
+
+if TYPE_CHECKING:
+    from .braid import BraidWord
 
 # ---------------------------------------------------------------------------
 # Wire format.
@@ -126,12 +127,14 @@ def parse_collection(s: Surface, obj: Any) -> List[Curve]:
     return [parse_curve(s, item) for item in obj]
 
 
-def parse_word(strands: int, obj: Any) -> braid_mod.BraidWord:
+def parse_word(strands: int, obj: Any) -> BraidWord:
+    from . import braid
+
     if not isinstance(obj, list) or not all(
         type(v) is int and v != 0 for v in obj
     ):
         raise WireError("braid word must be an array of nonzero integers")
-    return braid_mod.word(strands, *obj)
+    return braid.word(strands, *obj)
 
 
 def _loads(text: str) -> Any:
@@ -314,6 +317,8 @@ def _cmd_phi(args, s: Surface) -> int:
 
 
 def _cmd_hom(args, s: Surface) -> int:
+    from . import homext
+
     X = parse_sheaf(s, _loads(getattr(args, "from")))
     Y = parse_sheaf(s, _loads(args.to))
     d = homext.hom_dim(X, Y)
@@ -321,6 +326,8 @@ def _cmd_hom(args, s: Surface) -> int:
 
 
 def _cmd_ext(args, s: Surface) -> int:
+    from . import homext
+
     X = parse_sheaf(s, _loads(getattr(args, "from")))
     Y = parse_sheaf(s, _loads(args.to))
     d = homext.ext1_dim(X, Y)
@@ -328,6 +335,8 @@ def _cmd_ext(args, s: Surface) -> int:
 
 
 def _cmd_classify(args, s: Surface) -> int:
+    from . import homext
+
     X = parse_sheaf(s, _loads(getattr(args, "from")))
     Y = parse_sheaf(s, _loads(args.to))
     cls = homext.classify_nonzero(X, Y)
@@ -336,6 +345,8 @@ def _cmd_classify(args, s: Surface) -> int:
 
 
 def _cmd_factor(args, s: Surface) -> int:
+    from . import homext
+
     X = parse_sheaf(s, _loads(getattr(args, "from")))
     Y = parse_sheaf(s, _loads(args.to))
     Z = homext.epi_mono_factor(X, Y)
@@ -343,6 +354,8 @@ def _cmd_factor(args, s: Surface) -> int:
 
 
 def _cmd_kernel(args, s: Surface) -> int:
+    from . import homext
+
     X = parse_sheaf(s, _loads(getattr(args, "from")))
     Y = parse_sheaf(s, _loads(args.to))
     k1, k2 = homext.kernel_of_epi(X, Y)
@@ -351,6 +364,8 @@ def _cmd_kernel(args, s: Surface) -> int:
 
 
 def _cmd_cokernel(args, s: Surface) -> int:
+    from . import homext
+
     X = parse_sheaf(s, _loads(getattr(args, "from")))
     Y = parse_sheaf(s, _loads(args.to))
     c1, c2 = homext.cokernel_of_mono(X, Y)
@@ -359,19 +374,24 @@ def _cmd_cokernel(args, s: Surface) -> int:
 
 
 def _cmd_mutate(args, s: Surface) -> int:
+    from . import braid
+
     alpha = parse_curve(s, _loads(args.first))
     beta = parse_curve(s, _loads(args.second))
-    result = braid_mod.mutate_pair(alpha, beta, args.side)
+    result = braid.mutate_pair(alpha, beta, args.side)
     return _emit(args, {"curve": print_curve(result)}, repr(result))
 
 
 def _cmd_check(args, s: Surface) -> int:
+    from . import exceptional
+
     arcs = parse_collection(s, _loads(args.collection))
-    collection = exc_mod.ArcCollection.of(s, arcs)
-    # The set drops a repeated arc, and no exceptional collection repeats one.
+    # `of` refuses a repeated arc, so it gets the distinct arcs: a repeat
+    # only makes the answer false, as no exceptional collection repeats one.
+    collection = exceptional.ArcCollection.of(s, set(arcs))
     distinct = len(collection) == len(arcs)
-    order = exc_mod.order_collection(collection) if distinct else None
-    ordered = exc_mod.is_ordered_exceptional_collection(tuple(arcs))
+    order = exceptional.order_collection(collection) if distinct else None
+    ordered = exceptional.is_ordered_exceptional_collection(tuple(arcs))
     payload = {
         "exceptional_collection": order is not None,
         "ordered_as_given": ordered,
@@ -382,31 +402,36 @@ def _cmd_check(args, s: Surface) -> int:
 
 
 def _cmd_complete(args, s: Surface) -> int:
+    from . import exceptional
+
     arcs = parse_collection(s, _loads(args.collection))
-    collection = exc_mod.ArcCollection.of(s, arcs)
-    if len(collection) != len(arcs):
-        raise NotApplicable("input is not an exceptional collection: an arc repeats")
-    completed = exc_mod.complete_to_maximal(collection)
+    completed = exceptional.complete_to_maximal(exceptional.ArcCollection.of(s, arcs))
     payload = {"collection": [print_curve(c) for c in completed]}
     return _emit(args, payload, " ".join(repr(c) for c in completed))
 
 
 def _cmd_braid(args, s: Surface) -> int:
+    from . import braid
+
     arcs = parse_collection(s, _loads(args.collection))
     w = parse_word(len(arcs), _loads(args.word))
-    result = braid_mod.apply_braid(arcs, w)
+    result = braid.apply_braid(arcs, w)
     payload = {"collection": [print_curve(c) for c in result]}
     return _emit(args, payload, " ".join(repr(c) for c in result))
 
 
 def _cmd_normalize(args, s: Surface) -> int:
+    from . import braid
+
     arcs = parse_collection(s, _loads(args.collection))
-    w = braid_mod.normalize_to_theta(arcs)
+    w = braid.normalize_to_theta(arcs)
     letters = [i * sg for i, sg in w.letters]
     return _emit(args, {"word": letters}, " ".join(map(str, letters)) or "(empty)")
 
 
 def _cmd_tilting(args, s: Surface) -> int:
+    from . import tilting
+
     if args.action in ("check", "path") and args.collection is None:
         raise WireError(f"tilting {args.action} needs --collection")
     if args.action == "check":
@@ -438,12 +463,16 @@ def _cmd_tilting(args, s: Surface) -> int:
 
 
 def _cmd_paths(args, s: Surface) -> int:
+    from . import tilting
+
     total, dyck = tilting.lattice_path_counts(s.p, s.q)
     payload = {"total": total, "dyck": dyck, "bizley": tilting.bizley_count(s.p, s.q)}
     return _emit(args, payload, f"total {total}, dyck {dyck}")
 
 
 def _cmd_census(args, s: Surface) -> int:
+    from . import tilting
+
     result = tilting.census(s.p, s.q)
     text = (
         f"bundle_classes {result['bundle_classes']}, "

@@ -190,13 +190,17 @@ class ArcCollection:
 
     @staticmethod
     def of(surface: Surface, arcs: Iterable[Curve]) -> "ArcCollection":
-        arcs = frozenset(arcs)
+        """The collection of `arcs`, which must be distinct arcs on `surface`."""
+        arcs = tuple(arcs)
         for a in arcs:
             if a.surface != surface:
                 raise NotApplicable("arc on the wrong surface")
             if not is_arc(a):
                 raise NotApplicable(f"{a!r} is not an arc")
-        return ArcCollection(surface, arcs)
+        distinct = frozenset(arcs)
+        if len(distinct) != len(arcs):
+            raise NotApplicable("input is not an exceptional collection: an arc repeats")
+        return ArcCollection(surface, distinct)
 
     def __len__(self) -> int:
         return len(self.arcs)

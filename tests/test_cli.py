@@ -24,9 +24,29 @@ from wplarcs.core import (
     normal_form,
 )
 from wplarcs.braid import canonical_theta, se_shift_collection
+from wplarcs.errors import NotApplicable
 from wplarcs.exceptional import is_ordered_exceptional_collection
+from wplarcs.homext import cokernel_of_mono, epi_mono_factor, kernel_of_epi
 
 S23 = Surface(2, 3)
+
+
+def _line(l1, l2, l):
+    return {"kind": "line", "x": [l1, l2, l]}
+
+
+def _tube(kind, i, length):
+    return {"kind": kind, "i": i, "len": length}
+
+
+# The library function behind each structure-map command, and its payload.
+STRUCTURE_MAPS = {
+    "factor": lambda X, Y: {"through": print_sheaf(epi_mono_factor(X, Y))},
+    "kernel": lambda X, Y: {"parts": [print_sheaf(k) for k in kernel_of_epi(X, Y)]},
+    "cokernel": lambda X, Y: {
+        "parts": [print_sheaf(c) for c in cokernel_of_mono(X, Y)]
+    },
+}
 
 
 def run(capsys, *argv):
@@ -150,6 +170,51 @@ class TestCommands:
         assert code == 0
         assert json.loads(out) == {"curve": {"kind": "bridging", "i": 0, "j": 3}}
 
+    @pytest.mark.parametrize(
+        "command, source, target",
+        [
+            ("factor", _line(0, 0, 0), _tube("tinf", 0, 3)),
+            ("factor", _line(0, 1, 0), _tube("tzero", 2, 2)),
+            ("factor", _tube("tinf", 1, 2), _tube("tinf", 1, 3)),
+            ("kernel", _line(0, 0, 0), _tube("tinf", 0, 1)),
+            ("kernel", _line(1, 2, 0), _tube("tzero", 2, 2)),
+            ("kernel", _tube("tzero", 0, 2), _tube("tzero", 0, 1)),
+            ("cokernel", _line(0, 0, 0), _line(0, 1, 0)),
+            ("cokernel", _line(1, 1, 0), _line(0, 2, 1)),
+            ("cokernel", _tube("tinf", 0, 1), _tube("tinf", 1, 2)),
+        ],
+    )
+    def test_structure_maps_match_the_library(self, capsys, command, source, target):
+        expected = STRUCTURE_MAPS[command](
+            parse_sheaf(S23, source), parse_sheaf(S23, target)
+        )
+        code, out, _ = run(
+            capsys, "--p", "2", "--q", "3", "--json", command,
+            "--from", json.dumps(source), "--to", json.dumps(target),
+        )
+        assert code == 0
+        assert json.loads(out) == expected
+
+    # A line bundle onto a line bundle is no tube factorisation, and a
+    # mono in the other direction is no epi; O -> O is no proper mono.
+    @pytest.mark.parametrize(
+        "command, source, target",
+        [
+            ("factor", _line(0, 0, 0), _line(0, 1, 0)),
+            ("kernel", _line(0, 0, 0), _line(0, 1, 0)),
+            ("cokernel", _line(0, 0, 0), _line(0, 0, 0)),
+        ],
+    )
+    def test_structure_maps_refused(self, capsys, command, source, target):
+        with pytest.raises(NotApplicable):
+            STRUCTURE_MAPS[command](parse_sheaf(S23, source), parse_sheaf(S23, target))
+        code, out, err = run(
+            capsys, "--p", "2", "--q", "3", "--json", command,
+            "--from", json.dumps(source), "--to", json.dumps(target),
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ")
+
     def test_check_and_braid(self, capsys):
         collection = json.dumps(
             [
@@ -190,6 +255,14 @@ class TestCommands:
         assert code == 1
         assert out == ""
         assert err.startswith("error: ") and "repeats" in err
+
+    def test_repeated_non_arc_is_an_error(self, capsys):
+        collection = json.dumps([{"kind": "inner", "a": 0, "b": 3}] * 2)
+        code, out, err = run(
+            capsys, "--p", "2", "--q", "3", "--json", "check", "--collection", collection
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and "not an arc" in err
 
     def test_normalize_empty_word(self, capsys):
         collection = json.dumps(

@@ -126,6 +126,16 @@ class TestOrderCollection:
         arc = Bridging(S23, 0, 0)
         assert order_collection(ArcCollection.of(S23, [arc])) == (arc,)
 
+    # B(2, 3) is B(0, 0) one turn on: the same arc.
+    @pytest.mark.parametrize("second", [(0, 0), (2, 3)], ids=str)
+    def test_repeated_arc_refused(self, second):
+        arcs = [Bridging(S23, 0, 0), Bridging(S23, *second)]
+        with pytest.raises(NotApplicable, match="an arc repeats"):
+            ArcCollection.of(S23, arcs)
+        # A non-arc is still refused as such, before any repeat.
+        with pytest.raises(NotApplicable, match="not an arc"):
+            ArcCollection.of(S23, [InnerPeripheral(S23, 0, 3)] * 2)
+
     def test_empty_list_ordered(self):
         assert is_ordered_exceptional_collection(()) is True
 

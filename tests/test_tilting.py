@@ -368,7 +368,7 @@ class TestCensus:
 
     def test_path_counts_guard(self, monkeypatch):
         # Refused before any work: a patched counter would raise if reached.
-        monkeypatch.setattr(tilting, "Fraction", None)
+        monkeypatch.setattr(tilting, "math", None)
         for p, q in [(100_000, 100_000), (1, tilting.MAX_PATH_CELLS + 1)]:
             for count in (tilting.lattice_path_counts, bizley_count):
                 with pytest.raises(InvalidArguments):
