@@ -18,7 +18,6 @@ off the two folds it joins, whatever the shift of the input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .core import (
@@ -26,6 +25,8 @@ from .core import (
     Curve,
     Surface,
     _check_same_surface,
+    _set,
+    _Value,
     connector,
 )
 from .errors import (
@@ -52,16 +53,29 @@ LEFT = "left"
 RIGHT = "right"
 
 
-@dataclass(frozen=True)
-class BraidWord:
+class BraidWord(_Value):
     """Word in the braid group on `strands` strands.
 
     Letters are (index, sign) with 1 <= index <= strands - 1; application to
     a collection is right to left (function composition order).
     """
 
+    __slots__ = ("strands", "letters")
     strands: int
     letters: Tuple[Tuple[int, int], ...]
+
+    def __init__(self, strands: int, letters: Tuple[Tuple[int, int], ...]) -> None:
+        _set(self, "strands", strands)
+        _set(self, "letters", letters)
+        self.__post_init__()
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.strands == other.strands and self.letters == other.letters
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.strands, self.letters))
 
     def __post_init__(self) -> None:
         for idx, sign in self.letters:

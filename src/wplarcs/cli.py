@@ -142,6 +142,8 @@ def _loads(text: str) -> Any:
         return json.loads(text)
     except json.JSONDecodeError as err:
         raise WireError(f"malformed JSON at byte {err.pos}: {err.msg}") from err
+    except RecursionError as err:
+        raise WireError("input nests too deeply") from err
 
 
 # ---------------------------------------------------------------------------

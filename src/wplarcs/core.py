@@ -21,7 +21,7 @@ dictionary between the two worlds is :func:`phi` / :func:`phi_inv`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from functools import total_ordering
 from operator import attrgetter
 from typing import Iterable, Tuple, Union
 
@@ -45,16 +45,100 @@ OUTER = "outer"
 _PERIOD_FIELD = {INNER: "p", OUTER: "q"}
 
 
-@dataclass(frozen=True, order=True)
-class Surface:
-    """An annulus with p inner and q outer marked points (p, q >= 1)."""
+_set = object.__setattr__
 
+
+class _Value:
+    """An immutable value: its fields are the public names in `__slots__`.
+
+    Two values are equal when they are of one class with equal fields, and
+    a value hashes as the tuple of its fields; a field cannot be set or
+    deleted once `__init__` has set it (with `_set`).  A slot whose name
+    starts with "_" is a cache, not a field.  Classes that are built on hot
+    paths write their own `__init__`, `__eq__` and `__hash__` over the same
+    fields, since attribute loads in a method are about twice as fast as
+    the `attrgetter` here.  The other classes take their fields in order,
+    by position or by name.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        fields = cls._fields = tuple(
+            name
+            for klass in reversed(cls.__mro__)
+            for name in vars(klass).get("__slots__", ())
+            if not name.startswith("_")
+        )
+        if len(fields) == 1:
+            get = attrgetter(*fields)
+            cls._values = staticmethod(lambda value: (get(value),))
+        elif fields:
+            cls._values = attrgetter(*fields)
+
+    def __init__(self, *values, **named) -> None:
+        fields = self._fields
+        if named:
+            values += tuple(named.pop(f) for f in fields[len(values):] if f in named)
+        if named or len(values) != len(fields):
+            raise TypeError(f"{type(self).__name__} takes the fields {', '.join(fields)}")
+        for name, value in zip(fields, values):
+            _set(self, name, value)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) == self._values(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        shown = zip(self._fields, self._values(self))
+        return f"{type(self).__qualname__}({', '.join(f'{n}={v!r}' for n, v in shown)})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values(self)
+
+
+@total_ordering
+class Surface(_Value):
+    """An annulus with p inner and q outer marked points (p, q >= 1).
+
+    Surfaces order by (p, q); the hash is taken once, since every curve and
+    group element hashes its surface.
+    """
+
+    __slots__ = ("p", "q", "_hash")
     p: int
     q: int
 
-    def __post_init__(self) -> None:
-        if self.p < 1 or self.q < 1:
+    def __init__(self, p: int, q: int) -> None:
+        if p < 1 or q < 1:
             raise ValueError("surface weights must be positive")
+        _set(self, "p", p)
+        _set(self, "q", q)
+        _set(self, "_hash", hash((p, q)))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.p == other.p and self.q == other.q
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.p, self.q) < (other.p, other.q)
+        return NotImplemented
 
     @property
     def lcm(self) -> int:
@@ -76,7 +160,7 @@ class Surface:
 def _check_same_surface(*values) -> Surface:
     surface = values[0].surface
     for v in values[1:]:
-        if v.surface != surface:
+        if v.surface is not surface and v.surface != surface:
             raise SurfaceMismatch(f"mixed surfaces: {v.surface} vs {surface}")
     return surface
 
@@ -86,18 +170,35 @@ def _check_same_surface(*values) -> Surface:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LElt:
+class LElt(_Value):
     """Group element in normal form l1*x1 + l2*x2 + l*c, 0 <= l1 < p, 0 <= l2 < q."""
 
+    __slots__ = ("surface", "l1", "l2", "l")
     surface: Surface
     l1: int
     l2: int
     l: int
 
-    def __post_init__(self) -> None:
-        if not (0 <= self.l1 < self.surface.p and 0 <= self.l2 < self.surface.q):
+    def __init__(self, surface: Surface, l1: int, l2: int, l: int) -> None:
+        if not (0 <= l1 < surface.p and 0 <= l2 < surface.q):
             raise ValueError("LElt not in normal form")
+        _set(self, "surface", surface)
+        _set(self, "l1", l1)
+        _set(self, "l2", l2)
+        _set(self, "l", l)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (
+                self.l == other.l
+                and self.l1 == other.l1
+                and self.l2 == other.l2
+                and (self.surface is other.surface or self.surface == other.surface)
+            )
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.surface, self.l1, self.l2, self.l))
 
     def __add__(self, other: "LElt") -> "LElt":
         s = _check_same_surface(self, other)
@@ -178,7 +279,14 @@ def _coeff_x2(x: LElt) -> int:
 # Curves on the annulus: the endpoint model.
 # ---------------------------------------------------------------------------
 
-_set = object.__setattr__
+
+def _lift(cls, surface: Surface, x: int, y: int):
+    """The lift (x, y) of a curve of class `cls`, not renormalised."""
+    lift = object.__new__(cls)
+    _set(lift, "surface", surface)
+    _set(lift, cls._x, x)
+    _set(lift, cls._y, y)
+    return lift
 
 
 def _field_property(expression: str, doc: str) -> property:
@@ -187,20 +295,22 @@ def _field_property(expression: str, doc: str) -> property:
     return property(eval(f"lambda curve: {expression}"), doc=doc)
 
 
-class _EndpointCurve:
+class _EndpointCurve(_Value):
     """The endpoint model, shared by every non-loop curve class.
 
-    A subclass is a frozen dataclass with fields (surface, x, y) that names
-    the (boundary, field) of its start and of its end as class keywords.
-    The canonical lift keeps x in [0, period); a peripheral curve, with both
-    points on one boundary, needs y > x.
+    A subclass is a `_Value` whose `__slots__` are its fields (surface, x, y)
+    and that names the (boundary, field) of its start and of its end as class
+    keywords.  The canonical lift keeps x in [0, period); a peripheral curve,
+    with both points on one boundary, needs y > x.
     """
+
+    __slots__ = ()
 
     def __init_subclass__(
         cls, *, start: Tuple[str, str], end: Tuple[str, str], **kwargs
     ) -> None:
         super().__init_subclass__(**kwargs)
-        x, y = [name for name in cls.__annotations__ if name != "surface"]
+        x, y = [name for name in cls.__slots__ if name != "surface"]
         boundary = {field: b for b, field in (start, end)}
         cls._x, cls._y = x, y
         cls._indices = attrgetter(x, y)
@@ -233,11 +343,11 @@ class _EndpointCurve:
         """This lift moved k full turns along the cover, not renormalised."""
         s = self.surface
         x, y = self._indices(self)
-        lift = object.__new__(type(self))
-        _set(lift, "surface", s)
-        _set(lift, self._x, x + k * self._x_period(s))
-        _set(lift, self._y, y + k * self._y_period(s))
-        return lift
+        return _lift(type(self), s, x + k * self._x_period(s), y + k * self._y_period(s))
+
+    def __reduce__(self):
+        # Through `_lift`, since the constructor would renormalise a lift.
+        return _lift, (type(self), self.surface, *self._indices(self))
 
     def twisted(self, u: int, v: int):
         """This curve under a line-bundle twist: inner indices move by u and
@@ -275,13 +385,25 @@ class _EndpointCurve:
         return self._peripheral and self.span == 1
 
 
-@dataclass(frozen=True, init=False)
 class Bridging(_EndpointCurve, start=(OUTER, "j"), end=(INNER, "i")):
     """Positive bridging curve from outer point j/q up to inner point i/p."""
 
+    __slots__ = ("surface", "i", "j")
     surface: Surface
     i: int
     j: int
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (
+                self.i == other.i
+                and self.j == other.j
+                and (self.surface is other.surface or self.surface == other.surface)
+            )
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.surface, self.i, self.j))
 
     def key(self):
         return (0, self.i, self.j)
@@ -300,7 +422,6 @@ class Bridging(_EndpointCurve, start=(OUTER, "j"), end=(INNER, "i")):
         return f"B({self.i},{self.j})"
 
 
-@dataclass(frozen=True, init=False)
 class InnerPeripheral(_EndpointCurve, start=(INNER, "a"), end=(INNER, "b")):
     """Curve along the inner boundary from a/p to b/p with a < b.
 
@@ -309,9 +430,22 @@ class InnerPeripheral(_EndpointCurve, start=(INNER, "a"), end=(INNER, "b")):
     around the annulus and self-intersect.
     """
 
+    __slots__ = ("surface", "a", "b")
     surface: Surface
     a: int
     b: int
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (
+                self.a == other.a
+                and self.b == other.b
+                and (self.surface is other.surface or self.surface == other.surface)
+            )
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.surface, self.a, self.b))
 
     def key(self):
         return (1, self.a, self.b)
@@ -320,13 +454,25 @@ class InnerPeripheral(_EndpointCurve, start=(INNER, "a"), end=(INNER, "b")):
         return f"IP({self.a},{self.b})"
 
 
-@dataclass(frozen=True, init=False)
 class OuterPeripheral(_EndpointCurve, start=(OUTER, "a"), end=(OUTER, "b")):
     """Curve along the outer boundary from a/q to b/q with a < b."""
 
+    __slots__ = ("surface", "a", "b")
     surface: Surface
     a: int
     b: int
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (
+                self.a == other.a
+                and self.b == other.b
+                and (self.surface is other.surface or self.surface == other.surface)
+            )
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.surface, self.a, self.b))
 
     def key(self):
         return (2, self.a, self.b)
@@ -335,17 +481,18 @@ class OuterPeripheral(_EndpointCurve, start=(OUTER, "a"), end=(OUTER, "b")):
         return f"OP({self.a},{self.b})"
 
 
-@dataclass(frozen=True)
-class Loop:
+class Loop(_Value):
     """An n-fold loop around the annulus carrying an opaque parameter tag."""
 
+    __slots__ = ("surface", "n", "param")
     surface: Surface
     n: int
     param: str
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
+    def __init__(self, surface: Surface, n: int, param: str) -> None:
+        if n < 1:
             raise InvalidCurve("loop power must be >= 1")
+        super().__init__(surface, n, param)
 
     def is_arc(self) -> bool:
         return False
@@ -373,14 +520,25 @@ def is_arc(curve: Curve) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LineBundle:
+class LineBundle(_Value):
+    __slots__ = ("surface", "x")
     surface: Surface
     x: LElt
 
-    def __post_init__(self) -> None:
-        if self.x.surface != self.surface:
+    def __init__(self, surface: Surface, x: LElt) -> None:
+        if x.surface is not surface and x.surface != surface:
             raise SurfaceMismatch("twist does not live on the bundle's surface")
+        _set(self, "surface", surface)
+        _set(self, "x", x)
+
+    def __eq__(self, other):
+        # x carries the surface, which __init__ checked against the bundle's.
+        if other.__class__ is self.__class__:
+            return self.x == other.x
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.surface, self.x))
 
     def key(self):
         return (0, self.x.l1, self.x.l2, self.x.l)
@@ -389,18 +547,32 @@ class LineBundle:
         return f"O({self.x.l1},{self.x.l2},{self.x.l})"
 
 
-@dataclass(frozen=True)
-class TorsionInf:
+class TorsionInf(_Value):
     """Length-j torsion class in the rank-p tube, top index i mod p."""
 
+    __slots__ = ("surface", "i", "j")
     surface: Surface
     i: int
     j: int
 
-    def __post_init__(self) -> None:
-        if self.j < 1:
+    def __init__(self, surface: Surface, i: int, j: int) -> None:
+        if j < 1:
             raise ValueError("torsion length must be >= 1")
-        object.__setattr__(self, "i", self.i % self.surface.p)
+        _set(self, "surface", surface)
+        _set(self, "i", i % surface.p)
+        _set(self, "j", j)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (
+                self.i == other.i
+                and self.j == other.j
+                and (self.surface is other.surface or self.surface == other.surface)
+            )
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.surface, self.i, self.j))
 
     def key(self):
         return (1, self.i, self.j)
@@ -409,18 +581,32 @@ class TorsionInf:
         return f"Tinf({self.i},{self.j})"
 
 
-@dataclass(frozen=True)
-class TorsionZero:
+class TorsionZero(_Value):
     """Length-j torsion class in the rank-q tube, top index i mod q."""
 
+    __slots__ = ("surface", "i", "j")
     surface: Surface
     i: int
     j: int
 
-    def __post_init__(self) -> None:
-        if self.j < 1:
+    def __init__(self, surface: Surface, i: int, j: int) -> None:
+        if j < 1:
             raise ValueError("torsion length must be >= 1")
-        object.__setattr__(self, "i", self.i % self.surface.q)
+        _set(self, "surface", surface)
+        _set(self, "i", i % surface.q)
+        _set(self, "j", j)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (
+                self.i == other.i
+                and self.j == other.j
+                and (self.surface is other.surface or self.surface == other.surface)
+            )
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.surface, self.i, self.j))
 
     def key(self):
         return (2, self.i, self.j)
@@ -429,17 +615,18 @@ class TorsionZero:
         return f"Tzero({self.i},{self.j})"
 
 
-@dataclass(frozen=True)
-class TorsionOrdinary:
+class TorsionOrdinary(_Value):
     """Length-n torsion at an ordinary point; the parameter is an opaque tag."""
 
+    __slots__ = ("surface", "param", "n")
     surface: Surface
     param: str
     n: int
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
+    def __init__(self, surface: Surface, param: str, n: int) -> None:
+        if n < 1:
             raise ValueError("torsion length must be >= 1")
+        super().__init__(surface, param, n)
 
     def key(self):
         return (3, self.param, self.n)
@@ -448,10 +635,10 @@ class TorsionOrdinary:
         return f"Tord({self.param!r},{self.n})"
 
 
-@dataclass(frozen=True)
-class Zero:
+class Zero(_Value):
     """The zero sheaf; appears only as the image of degenerate segments."""
 
+    __slots__ = ("surface",)
     surface: Surface
 
     def key(self):

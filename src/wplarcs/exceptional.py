@@ -14,8 +14,7 @@ bridging arcs, so its cost does not grow with their winding.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .core import (
     INNER,
@@ -29,6 +28,7 @@ from .core import (
     TorsionOrdinary,
     Zero,
     _check_same_surface,
+    _Value,
     is_arc,
 )
 from .errors import (
@@ -49,8 +49,8 @@ DISJOINT = "disjoint"
 NOT_PAIR = "not-exceptional-pair"
 
 
-@dataclass(frozen=True)
-class PositionClass:
+class PositionClass(_Value):
+    __slots__ = ("tag",)
     tag: str
 
 
@@ -181,10 +181,10 @@ def pair_position(alpha: Curve, beta: Curve) -> PositionClass:
     return PositionClass(NOT_PAIR)
 
 
-@dataclass(frozen=True)
-class ArcCollection:
+class ArcCollection(_Value):
     """A finite set of distinct arcs over one surface."""
 
+    __slots__ = ("surface", "arcs")
     surface: Surface
     arcs: FrozenSet[Curve]
 

@@ -9,7 +9,6 @@ combinatorics cross-validates every geometric count in the tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Tuple
 
 from .core import (
@@ -26,6 +25,8 @@ from .core import (
     _check_same_surface,
     _coeff_x1,
     _coeff_x2,
+    _set,
+    _Value,
     connector,
     dim_S,
     is_arc,
@@ -46,12 +47,24 @@ NO_MAP = "no-nonzero-map"
 MIXED = "mixed"
 
 
-@dataclass(frozen=True)
-class MapClass:
+class MapClass(_Value):
     """Shape of the nonzero morphisms X -> Y, if any."""
 
+    __slots__ = ("tag", "same_object")
     tag: str
-    same_object: bool = False
+    same_object: bool
+
+    def __init__(self, tag: str, same_object: bool = False) -> None:
+        _set(self, "tag", tag)
+        _set(self, "same_object", same_object)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.tag == other.tag and self.same_object == other.same_object
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.tag, self.same_object))
 
 
 def _require_in_scope(*sheaves: SheafClass) -> Surface:

@@ -13,7 +13,6 @@ Only :func:`positive_crossings` builds a witness per crossing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from .core import (
@@ -23,20 +22,21 @@ from .core import (
     Loop,
     OuterPeripheral,
     _check_same_surface,
+    _Value,
 )
 from .errors import InternalInvariantViolation, OutOfScope
 
 
-@dataclass(frozen=True)
-class CrossingWitness:
+class CrossingWitness(_Value):
     """One positive crossing, realized by translating c2's lift by `offset` turns."""
 
+    __slots__ = ("offset", "config")
     offset: int
     config: str
 
 
-@dataclass(frozen=True)
-class EndpointRelation:
+class EndpointRelation(_Value):
+    __slots__ = ("shared_start", "shared_end", "clockwise_follows")
     shared_start: bool
     shared_end: bool
     clockwise_follows: bool

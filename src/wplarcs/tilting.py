@@ -33,7 +33,6 @@ sets from outside the program.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
@@ -44,6 +43,7 @@ from .core import (
     InnerPeripheral,
     OuterPeripheral,
     Surface,
+    _Value,
     connector,
     is_arc,
 )
@@ -55,26 +55,27 @@ from .errors import (
 from .intersect import positive_int
 
 
-@dataclass(frozen=True)
-class LatticePath:
+class LatticePath(_Value):
     """Monotone staircase of lattice points from (0,0) to (p,q)."""
 
+    __slots__ = ("points",)
     points: Tuple[Tuple[int, int], ...]
 
-    def __post_init__(self) -> None:
-        if not self.points or self.points[0] != (0, 0):
+    def __init__(self, points: Tuple[Tuple[int, int], ...]) -> None:
+        if not points or points[0] != (0, 0):
             raise InvalidArguments("path must start at the origin")
-        for (x0, y0), (x1, y1) in zip(self.points, self.points[1:]):
+        for (x0, y0), (x1, y1) in zip(points, points[1:]):
             if (x1 - x0, y1 - y0) not in ((1, 0), (0, 1)):
                 raise InvalidArguments("path steps must be unit east or north")
+        super().__init__(points)
 
     @property
     def target(self) -> Tuple[int, int]:
         return self.points[-1]
 
 
-@dataclass(frozen=True)
-class Triangulation:
+class Triangulation(_Value):
+    __slots__ = ("surface", "arcs")
     surface: Surface
     arcs: FrozenSet[Curve]
 
@@ -438,8 +439,7 @@ def _held_together(places: Iterable[_Place]) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class _Family:
+class _Family(_Value):
     """The anchors of one anchored family and the two polygons they cut out.
 
     The members are the anchors plus any triangulations of the two polygons,
@@ -451,6 +451,7 @@ class _Family:
     enumeration calls `members` with the verdicts it shares across families.
     """
 
+    __slots__ = ("surface", "anchors", "inside", "outside")
     surface: Surface
     anchors: Tuple[Curve, ...]
     inside: Tuple[Tuple[str, int], ...]

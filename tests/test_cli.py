@@ -346,6 +346,18 @@ class TestCommands:
         assert code == 1
         assert "byte" in err
 
+    @pytest.mark.parametrize("option", ["--collection", "--from"])
+    def test_deeply_nested_json_is_an_error(self, capsys, option):
+        deep = "[" * 100_000 + "]" * 100_000
+        if option == "--collection":
+            argv = ["complete", "--collection", deep]
+        else:
+            line = '{"kind":"line","x":[0,0,0]}'
+            argv = ["hom", "--from", f'{{"kind":"line","x":{deep}}}', "--to", line]
+        code, out, err = run(capsys, "--p", "2", "--q", "3", "--json", *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "nests too deeply" in err
+
     def test_invalid_input_exit_code(self, capsys):
         code, _, err = run(
             capsys, "--p", "2", "--q", "3", "phi",

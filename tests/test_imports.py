@@ -1,7 +1,8 @@
 """What a fresh process imports: the package alone, and each CLI command.
 
 `import wplarcs` loads no layer module, and a command loads only the layers
-it runs, so a one-shot `wplarcs` process compiles no more than it needs.
+it runs and neither `dataclasses` nor `inspect`, so a one-shot `wplarcs`
+process compiles no more than it needs.
 Each check runs in a new interpreter, since this one has every layer loaded.
 """
 
@@ -72,15 +73,38 @@ COMMANDS = [
 ]
 
 
-@pytest.mark.parametrize("argv, layers", COMMANDS, ids=[argv[0] for argv, _ in COMMANDS])
-def test_command_loads_only_its_layers(argv, layers):
-    code = f"""
+def _command(argv) -> str:
+    """Code that runs one command of the CLI in-process, quietly."""
+    return f"""
 import contextlib, io
 from wplarcs import cli
 with contextlib.redirect_stdout(io.StringIO()):
     assert cli.main({["--p", "2", "--q", "3", "--json", *argv]!r}) == 0
-""" + LOADED
-    assert _fresh(code) == _modules("cli", *layers)
+"""
+
+
+IDS = [argv[0] for argv, _ in COMMANDS]
+
+
+@pytest.mark.parametrize("argv, layers", COMMANDS, ids=IDS)
+def test_command_loads_only_its_layers(argv, layers):
+    assert _fresh(_command(argv) + LOADED) == _modules("cli", *layers)
+
+
+ALL_LOADED = """
+import json, sys
+print(json.dumps(sorted(sys.modules)))
+"""
+
+
+@pytest.mark.parametrize("argv", [argv for argv, _ in COMMANDS], ids=IDS)
+def test_command_loads_neither_dataclasses_nor_inspect(argv):
+    # The value classes are slotted classes, not dataclasses: importing
+    # `dataclasses` (and the `inspect` it pulls in) was a third of the
+    # cost a one-shot process added over the interpreter.
+    added = set(_fresh(_command(argv) + ALL_LOADED)) - set(_fresh(ALL_LOADED))
+    assert "wplarcs.cli" in added
+    assert not {"dataclasses", "inspect"} & added, sorted(added)
 
 
 def test_names_resolve_to_their_home_objects_without_caching():

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import math
 import random
@@ -475,7 +474,9 @@ class TestCensusByFamilies:
 
         def dropping_a_vertex(s, a, b):
             family = real(s, a, b)
-            return dataclasses.replace(family, outside=family.outside[:-1])
+            return tilting._Family(
+                family.surface, family.anchors, family.inside, family.outside[:-1]
+            )
 
         monkeypatch.setattr(tilting, "_plain_family", dropping_a_vertex)
         with pytest.raises(InternalInvariantViolation, match="arcs, not"):
@@ -485,10 +486,11 @@ class TestCensusByFamilies:
         family = tilting._plain_family(S23, 0, 3)
         # B(0, 0) as an extra anchor repeats the anchor B(0, 0), and the
         # inside polygon loses a vertex so the size still matches.
-        doubled = dataclasses.replace(
-            family,
-            anchors=family.anchors + family.anchors[:1],
-            inside=family.inside[:-1],
+        doubled = tilting._Family(
+            family.surface,
+            family.anchors + family.anchors[:1],
+            family.inside[:-1],
+            family.outside,
         )
         with pytest.raises(InternalInvariantViolation, match="holds an arc twice"):
             doubled.validate(tilting._Verdicts())
