@@ -274,12 +274,6 @@ def full_twist_word(s: Surface) -> BraidWord:
 MAX_NORMALIZE_LETTERS = 1_000_000
 
 
-def _compose_power(w: BraidWord, n: int) -> BraidWord:
-    if n < 0:
-        w = w.inverse()
-    return BraidWord(w.strands, w.letters * abs(n))
-
-
 # ---------------------------------------------------------------------------
 # Normalization to the canonical fan.
 # ---------------------------------------------------------------------------
@@ -395,5 +389,8 @@ def normalize_to_theta(
             f"the normalizing word holds the full twist {m} times, "
             f"more than {MAX_NORMALIZE_LETTERS} letters"
         )
-    # The full twist undoes one se-shift per application, its inverse adds one.
-    return _compose_power(full_twist_word(s), m) * BraidWord(r, tuple(letters))
+    # The full twist undoes one se-shift per application, its inverse adds one:
+    # (full twist)^m, then the letters, checked once as one word.
+    sign = 1 if m >= 0 else -1
+    twist = tuple(zip(range(1, r)[::sign], [sign] * (r - 1)))
+    return BraidWord(r, twist * (r * abs(m)) + tuple(letters))

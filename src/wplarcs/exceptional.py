@@ -6,14 +6,16 @@ and Int+(alpha se-shifted once, beta) = 0 (Hom, by Serre duality).
 A set of arcs is an exceptional collection exactly when every unordered
 pair passes the pair test in at least one direction and the precedence
 digraph (edges forced by one-directional pairs) is acyclic; admissible
-orders are its topological orders.  Completion is one first-fit pass over
-every peripheral arc and a bridging window anchored at the collection's
+orders are its topological orders; one table look-up gives a pair's
+verdicts both ways.  Completion is one lazy first-fit pass over every
+peripheral arc and a bridging window anchored at the collection's
 bridging arcs, so its cost does not grow with their winding.
 """
 
 from __future__ import annotations
 
 import heapq
+from itertools import chain
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .core import (
@@ -71,16 +73,16 @@ def is_exceptional_pair(E: SheafClass, F: SheafClass) -> bool:
 # IP(a, b) -> IP(a + u, b + u), OP(a, b) -> OP(a + v, b + v); (u, v) = (p, q)
 # is the deck translation, the relation p*x1 = q*x2.  So the pair test, and
 # mutation (`braid._MUTATE_CACHE`), depend on a pair only up to a twist, and
-# the tables key on the pair twisted to its anchor (`_anchor`).  Bridging
-# pairs more than q apart are answered by Lemma 1 of `complete_to_maximal`
-# without the table; every other pair anchors to one of
+# the tables key on the pair twisted to its anchor (`_anchor`), a pair entry
+# holding both orders' verdicts.  Bridging pairs more than q apart fail both
+# ways by Lemma 1 of `complete_to_maximal`; every other pair anchors to one of
 #     p(2q + 1) + p(p^2 - 1) + q(q^2 - 1) + 2(p - 1)(q - 1)
 # pairs per surface: B(0, 0) first with B(x, y), 0 <= x < p, |y| <= q, or
 # with a peripheral arc; a peripheral arc first with B(0, 0); or two
 # peripheral arcs, the first starting at 0 and the other at 0 if on the
 # other boundary.  That bounds `_PAIR_CACHE`, and twice it `_MUTATE_CACHE`
 # (one entry a side), whatever the windings seen, so neither table evicts.
-_PAIR_CACHE: Dict[tuple, bool] = {}
+_PAIR_CACHE: Dict[tuple, Tuple[bool, bool]] = {}
 
 
 def _pair_verdict(alpha: Curve, beta: Curve) -> bool:
@@ -113,9 +115,9 @@ def _anchored(arc: Curve, u: int, v: int, p: int, q: int) -> Optional[tuple]:
 
 def _anchor(alpha: Curve, beta: Curve) -> Optional[Tuple[tuple, int, int]]:
     """(key, u, v): twisting the anchored pair that `key` encodes by (u, v)
-    gives (alpha, beta).  None when the pair is not exceptional because a
-    curve is not an arc (a loop, a degenerate or a wrapping curve), or by
-    Lemma 1; such pairs never reach a table.
+    gives (alpha, beta).  None when the pair is exceptional in neither
+    order, as a curve is not an arc (a loop, a degenerate or a wrapping
+    curve), or by Lemma 1; such pairs never reach a table.
 
     The anchor is the pair's first bridging arc, moved to B(0, 0); with
     none, each peripheral start moves to 0.
@@ -147,15 +149,15 @@ def _anchor(alpha: Curve, beta: Curve) -> Optional[Tuple[tuple, int, int]]:
     return (p, q) + a + b, u, v
 
 
-def _arc_pair_ok(alpha: Curve, beta: Curve) -> bool:
-    """`_pair_verdict`, tabled up to twist."""
+def _arc_pair_verdicts(alpha: Curve, beta: Curve) -> Tuple[bool, bool]:
+    """`_pair_verdict` both ways, (alpha, beta) first, tabled up to twist."""
     anchored = _anchor(alpha, beta)
     if anchored is None:
-        return False
+        return False, False
     key = anchored[0]
     hit = _PAIR_CACHE.get(key)
     if hit is None:
-        hit = _PAIR_CACHE[key] = _pair_verdict(alpha, beta)
+        hit = _PAIR_CACHE[key] = _pair_verdict(alpha, beta), _pair_verdict(beta, alpha)
     return hit
 
 
@@ -213,12 +215,14 @@ OrderedCollection = Tuple[Curve, ...]
 
 
 def _precedence_edges(arcs: Sequence[Curve]):
-    """Forced order edges; None if some pair fails in both directions."""
+    """Forced order edges; None on a non-arc or a pair failing both ways."""
+    for a in arcs:
+        if not a.is_arc():
+            return None
     edges = {i: set() for i in range(len(arcs))}
     for i in range(len(arcs)):
         for j in range(i + 1, len(arcs)):
-            fwd = _arc_pair_ok(arcs[i], arcs[j])
-            bwd = _arc_pair_ok(arcs[j], arcs[i])
+            fwd, bwd = _arc_pair_verdicts(arcs[i], arcs[j])
             if not (fwd or bwd):
                 return None
             if fwd and not bwd:
@@ -228,6 +232,25 @@ def _precedence_edges(arcs: Sequence[Curve]):
     return edges
 
 
+def _topological_order(arcs: Sequence[Curve], edges) -> Optional[OrderedCollection]:
+    """Order of the digraph `edges` on `arcs`, least `key()` first; None on a cycle."""
+    indeg = [0] * len(arcs)
+    for outs in edges.values():
+        for j in outs:
+            indeg[j] += 1
+    heap = [(arcs[i].key(), i) for i, d in enumerate(indeg) if d == 0]
+    heapq.heapify(heap)
+    order = []
+    while heap:
+        i = heapq.heappop(heap)[1]
+        order.append(arcs[i])
+        for j in edges[i]:
+            indeg[j] -= 1
+            if indeg[j] == 0:
+                heapq.heappush(heap, (arcs[j].key(), j))
+    return tuple(order) if len(order) == len(arcs) else None
+
+
 def order_collection(collection: ArcCollection) -> Optional[OrderedCollection]:
     """Topological order of the precedence digraph, or None.
 
@@ -235,29 +258,8 @@ def order_collection(collection: ArcCollection) -> Optional[OrderedCollection]:
     the canonical arc encoding.
     """
     arcs = collection.sorted_arcs()
-    for a in arcs:
-        if not a.is_arc():
-            return None
     edges = _precedence_edges(arcs)
-    if edges is None:
-        return None
-    indeg = {i: 0 for i in range(len(arcs))}
-    for i, outs in edges.items():
-        for j in outs:
-            indeg[j] += 1
-    heap = [i for i, d in indeg.items() if d == 0]
-    heapq.heapify(heap)
-    order: List[int] = []
-    while heap:
-        i = heapq.heappop(heap)
-        order.append(i)
-        for j in edges[i]:
-            indeg[j] -= 1
-            if indeg[j] == 0:
-                heapq.heappush(heap, j)
-    if len(order) != len(arcs):
-        return None  # precedence cycle
-    return tuple(arcs[i] for i in order)
+    return None if edges is None else _topological_order(arcs, edges)
 
 
 def is_ordered_exceptional_collection(arcs: Sequence[Curve]) -> bool:
@@ -269,7 +271,7 @@ def is_ordered_exceptional_collection(arcs: Sequence[Curve]) -> bool:
             return False
     for i in range(len(arcs)):
         for j in range(i + 1, len(arcs)):
-            if not _arc_pair_ok(arcs[i], arcs[j]):
+            if not _arc_pair_verdicts(arcs[i], arcs[j])[0]:
                 return False
     return True
 
@@ -349,14 +351,14 @@ def adjust_endpoints(collection: ArcCollection, arc: Bridging) -> Bridging:
 def _can_add(arcs: List[Curve], edges, candidate: Curve) -> Optional[list]:
     """New edge rows if `candidate` keeps the collection exceptional, else None.
 
-    The digraph `edges` is acyclic, so the candidate closes a cycle exactly
-    when one of its successors already reaches one of its predecessors.
+    One table look-up per member decides both orders.  The digraph `edges`
+    is acyclic, so the candidate closes a cycle exactly when one of its
+    successors already reaches one of its predecessors.
     """
     n = len(arcs)
     new_edges = []
     for idx, arc in enumerate(arcs):
-        fwd = _arc_pair_ok(arc, candidate)
-        bwd = _arc_pair_ok(candidate, arc)
+        fwd, bwd = _arc_pair_verdicts(arc, candidate)
         if not (fwd or bwd):
             return None
         if fwd and not bwd:
@@ -376,30 +378,29 @@ def _can_add(arcs: List[Curve], edges, candidate: Curve) -> Optional[list]:
     return new_edges
 
 
-def _peripheral_pool(s: Surface) -> List[Curve]:
-    pool: List[Curve] = []
+def _peripheral_pool(s: Surface) -> Iterable[Curve]:
+    """Every peripheral arc, in `key()` order."""
     for cls, period in ((InnerPeripheral, s.p), (OuterPeripheral, s.q)):
         for a in range(period):
-            pool.extend(cls(s, a, a + span) for span in range(2, period + 1))
-    return sorted(pool, key=lambda c: c.key())
+            for span in range(2, period + 1):
+                yield cls(s, a, a + span)
 
 
-def _bridging_pool(s: Surface, arcs: Iterable[Curve]) -> List[Curve]:
+def _bridging_pool(s: Surface, arcs: Iterable[Curve]) -> Iterable[Curve]:
     """Completion's bridging window: B(i, j), i in [0, p), j within q of the
     collection's bridging arcs (within 2q of 0 if it has none), nearest the
     anchor interval first, then in `key()` order."""
     starts = [a.j for a in arcs if isinstance(a, Bridging)]
     lo, hi = (min(starts), max(starts)) if starts else (0, 0)
     margin = s.q if starts else 2 * s.q
-    js = range(lo - margin, hi + margin + 1)
-    pool = [Bridging(s, i, j) for i in range(s.p) for j in js]
-    return sorted(pool, key=lambda c: (max(lo - c.j, c.j - hi, 0), c.key()))
+    rings = [range(lo, hi + 1)] + [(lo - d, hi + d) for d in range(1, margin + 1)]
+    return (Bridging(s, i, j) for js in rings for i in range(s.p) for j in js)
 
 
 def complete_to_maximal(collection: ArcCollection) -> OrderedCollection:
     """Enlarge an exceptional collection to one of maximal size p + q.
 
-    One first-fit pass over every peripheral arc, then `_bridging_pool`.
+    One lazy first-fit pass over every peripheral arc, then `_bridging_pool`.
     One pass is enough.  Every exceptional collection completes (Meltzer
     2004), and rejection is monotone: a pair failing both ways, or a
     precedence cycle, stays in every larger set.  So an arc missing at the
@@ -410,15 +411,15 @@ def complete_to_maximal(collection: ArcCollection) -> OrderedCollection:
     first one kept has |j| <= q/2 and every later one |j| <= 3q/2.
     """
     s = collection.surface
-    base = order_collection(collection)
-    if base is None:
-        raise NotApplicable("input is not an exceptional collection")
-    arcs = list(base)
+    arcs = collection.sorted_arcs()
     edges = _precedence_edges(arcs)
-    for cand in _peripheral_pool(s) + _bridging_pool(s, arcs):
+    if edges is None or _topological_order(arcs, edges) is None:
+        raise NotApplicable("input is not an exceptional collection")
+    members = set(arcs)
+    for cand in chain(_peripheral_pool(s), _bridging_pool(s, arcs)):
         if len(arcs) == s.rank:
             break
-        if cand in arcs:
+        if cand in members:
             continue
         new_edges = _can_add(arcs, edges, cand)
         if new_edges is None:
@@ -427,11 +428,9 @@ def complete_to_maximal(collection: ArcCollection) -> OrderedCollection:
         for u, v in new_edges:
             edges[u].add(v)
         arcs.append(cand)
+        members.add(cand)
     if len(arcs) != s.rank:
         raise InternalInvariantViolation(
             f"completion stalled at {len(arcs)} of {s.rank} arcs"
         )
-    ordered = order_collection(ArcCollection(s, frozenset(arcs)))
-    if ordered is None:
-        raise InternalInvariantViolation("completed set lost exceptionality")
-    return ordered
+    return _topological_order(arcs, edges)

@@ -1,9 +1,12 @@
 import sys
+from functools import wraps
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from wplarcs import exceptional
 from wplarcs.core import Bridging, InnerPeripheral, OuterPeripheral, Surface
+from wplarcs.errors import InternalInvariantViolation
 
 
 def window_arcs(s: Surface, turns: int = 2):
@@ -36,3 +39,27 @@ def window_curves(s: Surface, turns: int = 2, max_span_turns: int = 2):
 
 SMALL_SURFACES = [Surface(1, 1), Surface(1, 2), Surface(2, 2), Surface(2, 3)]
 ACCEPT_SURFACES = SMALL_SURFACES + [Surface(3, 3)]
+
+
+def _rechecked(complete):
+    """`complete_to_maximal` followed by the self-check it no longer runs:
+    the completed set, ordered from scratch by `order_collection`, is an
+    exceptional collection in the order returned."""
+
+    @wraps(complete)
+    def checked(collection):
+        ordered = complete(collection)
+        again = exceptional.order_collection(
+            exceptional.ArcCollection(collection.surface, frozenset(ordered))
+        )
+        if again is None:
+            raise InternalInvariantViolation("completed set lost exceptionality")
+        assert again == ordered, (again, ordered)
+        return ordered
+
+    return checked
+
+
+# Installed before any test module binds the name, so every completion the
+# tests make in this process, the CLI's included, is rechecked.
+exceptional.complete_to_maximal = _rechecked(exceptional.complete_to_maximal)

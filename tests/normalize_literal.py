@@ -18,7 +18,6 @@ from wplarcs import braid
 from wplarcs.braid import (
     BraidWord,
     _check_same_surface,
-    _compose_power,
     _state_key,
     canonical_theta,
     full_twist_word,
@@ -27,6 +26,13 @@ from wplarcs.braid import (
 )
 from wplarcs.core import Bridging, Curve, Surface
 from wplarcs.errors import NotApplicable, SearchExhausted
+
+
+def _compose_power(w: BraidWord, n: int) -> BraidWord:
+    """w to the power n, built as the library once built its full-twist powers."""
+    if n < 0:
+        w = w.inverse()
+    return BraidWord(w.strands, w.letters * abs(n))
 
 
 def _neighbors(arcs: tuple):

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wplarcs import braid
 from wplarcs.core import (
@@ -33,7 +34,7 @@ from wplarcs.exceptional import (
 )
 
 from conftest import ACCEPT_SURFACES, window_arcs
-from normalize_literal import normalize_literal
+from normalize_literal import _compose_power, normalize_literal
 from algebra_oracle import (
     algebraic_left_mutation,
     algebraic_right_mutation,
@@ -483,6 +484,33 @@ def _scrambled(s, rng, max_letters=10, max_shift=9):
     L = se_shift_collection(canonical_theta(s), rng.randint(-max_shift, max_shift))
     letters = _letters(rng, s.rank, rng.randint(0, max_letters))
     return apply_braid(L, word(s.rank, *letters), validate=False)
+
+
+class TestNormalizeWordAssembly:
+    """The answer is (full twist)^m then the search letters, in one word."""
+
+    @pytest.mark.parametrize("m", range(-10, 11))
+    @pytest.mark.parametrize("s", [Surface(1, 1), S23, Surface(4, 5)], ids=str)
+    def test_twist_power_then_letters(self, s, m, monkeypatch):
+        r = s.rank
+        rng = random.Random(m)
+        letters = [(rng.randint(1, r - 1), rng.choice([1, -1])) for _ in range(7)]
+        monkeypatch.setattr(braid, "_bidirectional_search", lambda *args: (m, letters))
+        w = normalize_to_theta(canonical_theta(s))
+        assert w == _compose_power(full_twist_word(s), m) * BraidWord(r, tuple(letters))
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_matches_the_search_it_makes(self, data):
+        s = data.draw(st.sampled_from(ACCEPT_SURFACES + [Surface(4, 5)]))
+        r = s.rank
+        L = se_shift_collection(canonical_theta(s), data.draw(st.integers(-10, 10)))
+        signed = st.integers(1, r - 1).flatmap(lambda i: st.sampled_from([i, -i]))
+        L = apply_braid(L, word(r, *data.draw(st.lists(signed, max_size=4))))
+        m, letters = braid._bidirectional_search(L, canonical_theta(s), 4 * r, 10**6)
+        expected = _compose_power(full_twist_word(s), m) * BraidWord(r, tuple(letters))
+        assert normalize_to_theta(L) == expected
+        assert apply_braid(L, expected, validate=False) == canonical_theta(s)
 
 
 def _counting_letters(monkeypatch):

@@ -2,6 +2,7 @@ import random
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wplarcs import braid, core, exceptional, homext
 
@@ -24,9 +25,9 @@ from wplarcs.braid import (
     normalize_to_theta,
     word,
 )
-from wplarcs.errors import NotApplicable
+from wplarcs.errors import InternalInvariantViolation, NotApplicable
 from wplarcs.exceptional import (
-    _arc_pair_ok,
+    _arc_pair_verdicts,
     _bridging_pool,
     _can_add,
     _pair_verdict,
@@ -49,6 +50,7 @@ from wplarcs.homext import ext1_dim, hom_dim, is_exceptional
 
 from algebra_oracle import exceptional_pair_oracle
 from conftest import ACCEPT_SURFACES, SMALL_SURFACES, window_arcs
+import completion_literal
 
 S23 = Surface(2, 3)
 O = structure_sheaf(S23)
@@ -306,7 +308,7 @@ class TestOnePassCompletion:
 
     @pytest.mark.parametrize("s", RANK_8_SURFACES, ids=str)
     def test_seeds_without_bridging_arcs(self, s):
-        pool = exceptional._peripheral_pool(s)
+        pool = list(exceptional._peripheral_pool(s))
         rng = random.Random(23)
         seeds = [[]] + [[arc] for arc in pool]
         for _ in range(10):
@@ -328,7 +330,7 @@ class TestOnePassCompletion:
         # needs the first bridging arc kept to be within q/2 of 0.
         seed = [Bridging(s, 0, j) for j in js] + [InnerPeripheral(s, 0, 2)]
         lo, hi, margin = (min(js), max(js), s.q) if js else (0, 0, 2 * s.q)
-        pool = _bridging_pool(s, seed)
+        pool = list(_bridging_pool(s, seed))
         window = range(lo - margin, hi + margin + 1)
         assert set(pool) == {Bridging(s, i, j) for i in range(s.p) for j in window}
         distances = [max(lo - c.j, c.j - hi, 0) for c in pool]
@@ -342,22 +344,100 @@ class TestOnePassCompletion:
     )
     def test_pair_tests_per_completion(self, s, monkeypatch):
         # Every peripheral arc and a window of at most p(4q + 1) bridging
-        # arcs, each tried against at most r arcs in both orders, plus the
-        # two orderings of the collection.
-        bound = 2 * s.rank * (s.p**2 + s.q**2 + 4 * s.p * s.q + s.p)
-        real = exceptional._arc_pair_ok
-        counts = []
+        # arcs, each tried against at most r arcs with one table look-up
+        # for both orders, plus one look-up per pair of the seed.  No
+        # unordered pair is looked up twice, and each look-up anchors its
+        # pair once.  The completion is called unwrapped, without the
+        # recheck that conftest adds.
+        bound = s.rank * (s.p**2 + s.q**2 + 4 * s.p * s.q + s.p)
+        complete = exceptional.complete_to_maximal.__wrapped__
+        verdicts, anchor = exceptional._arc_pair_verdicts, exceptional._anchor
+        looked_up, anchored = [], []
         for j in (0, s.q * 10**18):
-            calls = [0]
+            calls = {"look-ups": 0, "anchors": 0}
+            pairs = set()
 
-            def counting(alpha, beta):
-                calls[0] += 1
-                return real(alpha, beta)
+            def counting_verdicts(alpha, beta):
+                calls["look-ups"] += 1
+                pairs.add(frozenset((alpha, beta)))
+                return verdicts(alpha, beta)
 
-            monkeypatch.setattr(exceptional, "_arc_pair_ok", counting)
-            complete_to_maximal(ArcCollection.of(s, [Bridging(s, 0, j)]))
-            counts.append(calls[0])
-        assert counts[0] == counts[1] <= bound
+            def counting_anchor(alpha, beta):
+                calls["anchors"] += 1
+                return anchor(alpha, beta)
+
+            monkeypatch.setattr(exceptional, "_arc_pair_verdicts", counting_verdicts)
+            monkeypatch.setattr(exceptional, "_anchor", counting_anchor)
+            complete(ArcCollection.of(s, [Bridging(s, 0, j)]))
+            assert len(pairs) == calls["look-ups"]
+            looked_up.append(calls["look-ups"])
+            anchored.append(calls["anchors"])
+        assert looked_up[0] == looked_up[1] <= bound
+        assert anchored[0] == anchored[1] <= looked_up[0]
+
+    @pytest.mark.parametrize("s", [Surface(2, 3), Surface(4, 5)], ids=str)
+    def test_seed_pairs_are_looked_up_once(self, s, monkeypatch):
+        # A seed that is already maximal costs one look-up per unordered pair.
+        calls = [0]
+        verdicts = exceptional._arc_pair_verdicts
+
+        def counting(alpha, beta):
+            calls[0] += 1
+            return verdicts(alpha, beta)
+
+        monkeypatch.setattr(exceptional, "_arc_pair_verdicts", counting)
+        fan = canonical_theta(s)
+        exceptional.complete_to_maximal.__wrapped__(ArcCollection.of(s, fan))
+        assert calls[0] == s.rank * (s.rank - 1) // 2
+
+
+LITERAL_SURFACES = ACCEPT_SURFACES + [Surface(4, 5)]
+
+
+class TestLiteralCompletion:
+    """The lazy, tabled completion returns the tuple of the literal pass in
+    `completion_literal`: full sorted pools, untabled verdicts both ways."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_same_tuple_as_the_literal_pass(self, data):
+        s = data.draw(st.sampled_from(LITERAL_SURFACES))
+        seed = []
+        if data.draw(st.booleans()):
+            j = data.draw(
+                st.one_of(st.integers(-3 * s.q, 3 * s.q), st.integers(-(10**18), 10**18))
+            )
+            seed.append(Bridging(s, data.draw(st.integers(0, s.p - 1)), j))
+        pool = list(exceptional._peripheral_pool(s))
+        extra = st.lists(st.sampled_from(pool), max_size=2) if pool else st.just([])
+        for arc in data.draw(extra):
+            trial = ArcCollection.of(s, set(seed + [arc]))
+            if completion_literal.order_collection(trial) is not None:
+                seed = list(trial.arcs)
+        collection = ArcCollection.of(s, seed)
+        expected = completion_literal.complete_to_maximal(collection)
+        assert complete_to_maximal(collection) == expected
+
+    @pytest.mark.parametrize("s", LITERAL_SURFACES, ids=str)
+    def test_peripheral_seeds(self, s):
+        # The empty seed and every one-arc peripheral seed: the bridging
+        # window is then the 2q window around 0.
+        for arc in [None] + list(exceptional._peripheral_pool(s)):
+            collection = ArcCollection.of(s, [] if arc is None else [arc])
+            expected = completion_literal.complete_to_maximal(collection)
+            assert complete_to_maximal(collection) == expected, arc
+
+
+class TestCompletionRecheck:
+    def test_every_completion_is_rechecked(self, monkeypatch):
+        # conftest wraps `complete_to_maximal` before this module binds it,
+        # so a completion that loses exceptionality fails the test that
+        # made it.
+        assert complete_to_maximal is exceptional.complete_to_maximal
+        assert complete_to_maximal.__wrapped__ is not complete_to_maximal
+        monkeypatch.setattr(exceptional, "_can_add", lambda arcs, edges, cand: [])
+        with pytest.raises(InternalInvariantViolation, match="lost exceptionality"):
+            complete_to_maximal(ArcCollection.of(S23, [Bridging(S23, 0, 0)]))
 
 
 class TestCanAdd:
@@ -404,7 +484,7 @@ class TestArcsAlone:
             for b, F in zip(arcs, sheaves):
                 expected = exceptional_pair_oracle(E, F)
                 assert _pair_verdict(a, b) == expected, (a, b)
-                assert _arc_pair_ok(a, b) == expected, (a, b)
+                assert _arc_pair_verdicts(a, b)[0] == expected, (a, b)
                 assert is_exceptional_pair(E, F) == expected, (a, b)
 
     @pytest.mark.parametrize("kind", [InnerPeripheral, OuterPeripheral])
@@ -419,8 +499,8 @@ class TestArcsAlone:
 
     @pytest.mark.parametrize("s", [Surface(2, 3), Surface(4, 5)], ids=str)
     def test_bridging_pool_is_anchored_at_the_collection(self, s):
-        far = _bridging_pool(s, [Bridging(s, 0, 10**18)])
-        assert len(far) == len(_bridging_pool(s, [Bridging(s, 0, 0)]))
+        far = list(_bridging_pool(s, [Bridging(s, 0, 10**18)]))
+        assert len(far) == len(list(_bridging_pool(s, [Bridging(s, 0, 0)])))
         assert Bridging(s, 0, 10**18) in far
 
     def test_collections_build_no_sheaf(self, monkeypatch):

@@ -31,7 +31,7 @@ from wplarcs.errors import NotExceptional, SurfaceMismatch
 from wplarcs.exceptional import (
     ArcCollection,
     _anchor,
-    _arc_pair_ok,
+    _arc_pair_verdicts,
     _pair_verdict,
     complete_to_maximal,
     is_ordered_exceptional_collection,
@@ -92,7 +92,8 @@ class TestEquivariance:
         moved = (alpha.twisted(u, v), beta.twisted(u, v))
         verdict = _pair_verdict(alpha, beta)
         assert _pair_verdict(*moved) == verdict
-        assert _arc_pair_ok(*moved) == _arc_pair_ok(alpha, beta) == verdict
+        both = (verdict, _pair_verdict(beta, alpha))
+        assert _arc_pair_verdicts(*moved) == _arc_pair_verdicts(alpha, beta) == both
         keys = [a and a[0] for a in (_anchor(alpha, beta), _anchor(*moved))]
         assert keys[0] == keys[1]
         for side in (LEFT, RIGHT):
@@ -135,11 +136,15 @@ class TestTables:
                 assert apply_braid(start, normalize_to_theta(start)) == fan
 
     def test_entries_match_the_uncached_answers(self, mixed_run):
-        for key, verdict in exceptional._PAIR_CACHE.items():
+        # An entry holds both verdicts of its pair: (alpha, beta), then
+        # (beta, alpha).
+        for key, (fwd, bwd) in exceptional._PAIR_CACHE.items():
             alpha, beta = anchored_pair(key)
             assert _anchor(alpha, beta)[0] == key
             for u, v in TWISTS:
-                assert _pair_verdict(alpha.twisted(u, v), beta.twisted(u, v)) == verdict
+                moved = (alpha.twisted(u, v), beta.twisted(u, v))
+                assert _pair_verdict(*moved) == fwd
+                assert _pair_verdict(*moved[::-1]) == bwd
         for (key, side), entry in braid._MUTATE_CACHE.items():
             alpha, beta = anchored_pair(key)
             assert _anchor(alpha, beta)[0] == key
@@ -205,7 +210,7 @@ class TestNonArcs:
         for bad in non_arcs:
             for other in partners:
                 for pair in ((bad, other), (other, bad)):
-                    assert _arc_pair_ok(*pair) is False
+                    assert _arc_pair_verdicts(*pair) == (False, False)
                     for side in (LEFT, RIGHT):
                         with pytest.raises(NotExceptional):
                             mutate_pair(*pair, side)
@@ -218,10 +223,10 @@ class TestSurfaces:
         # arc lies on another surface must be refused before the look-up.
         s, other = Surface(2, 3), Surface(2, 5)
         alpha, beta = Bridging(s, 0, 0), Bridging(s, 1, 0)
-        assert _arc_pair_ok(alpha, beta)
+        assert _arc_pair_verdicts(alpha, beta)[0]
         mutate_pair(alpha, beta, LEFT)
         stranger = Bridging(other, 1, 0)
         with pytest.raises(SurfaceMismatch):
-            _arc_pair_ok(alpha, stranger)
+            _arc_pair_verdicts(alpha, stranger)
         with pytest.raises(SurfaceMismatch):
             mutate_pair(alpha, stranger, LEFT)
