@@ -69,14 +69,6 @@ class BraidWord(_Value):
         _set(self, "letters", letters)
         self.__post_init__()
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.strands == other.strands and self.letters == other.letters
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.strands, self.letters))
-
     def __post_init__(self) -> None:
         for idx, sign in self.letters:
             if not 1 <= idx <= self.strands - 1:

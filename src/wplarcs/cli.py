@@ -318,61 +318,35 @@ def _cmd_phi(args, s: Surface) -> int:
     return _emit(args, {"curve": print_curve(curve)}, repr(curve))
 
 
-def _cmd_hom(args, s: Surface) -> int:
+# The commands on a sheaf pair --from X --to Y: (command, the `homext`
+# function it runs, its JSON payload and its text, each of the result).
+_SUMMANDS = (
+    lambda pair: {"parts": [print_sheaf(x) for x in pair]},
+    lambda pair: f"{pair[0]!r} (+) {pair[1]!r}",
+)
+_SHEAF_PAIR_COMMANDS = (
+    ("hom", "hom_dim", lambda d: {"dim": d}, str),
+    ("ext", "ext1_dim", lambda d: {"dim": d}, str),
+    (
+        "classify",
+        "classify_nonzero",
+        lambda c: {"tag": c.tag, "same_object": c.same_object},
+        lambda c: c.tag,
+    ),
+    ("factor", "epi_mono_factor", lambda z: {"through": print_sheaf(z)}, repr),
+    ("kernel", "kernel_of_epi", *_SUMMANDS),
+    ("cokernel", "cokernel_of_mono", *_SUMMANDS),
+)
+
+
+def _cmd_sheaf_pair(args, s: Surface) -> int:
     from . import homext
 
     X = parse_sheaf(s, _loads(getattr(args, "from")))
     Y = parse_sheaf(s, _loads(args.to))
-    d = homext.hom_dim(X, Y)
-    return _emit(args, {"dim": d}, str(d))
-
-
-def _cmd_ext(args, s: Surface) -> int:
-    from . import homext
-
-    X = parse_sheaf(s, _loads(getattr(args, "from")))
-    Y = parse_sheaf(s, _loads(args.to))
-    d = homext.ext1_dim(X, Y)
-    return _emit(args, {"dim": d}, str(d))
-
-
-def _cmd_classify(args, s: Surface) -> int:
-    from . import homext
-
-    X = parse_sheaf(s, _loads(getattr(args, "from")))
-    Y = parse_sheaf(s, _loads(args.to))
-    cls = homext.classify_nonzero(X, Y)
-    payload = {"tag": cls.tag, "same_object": cls.same_object}
-    return _emit(args, payload, cls.tag)
-
-
-def _cmd_factor(args, s: Surface) -> int:
-    from . import homext
-
-    X = parse_sheaf(s, _loads(getattr(args, "from")))
-    Y = parse_sheaf(s, _loads(args.to))
-    Z = homext.epi_mono_factor(X, Y)
-    return _emit(args, {"through": print_sheaf(Z)}, repr(Z))
-
-
-def _cmd_kernel(args, s: Surface) -> int:
-    from . import homext
-
-    X = parse_sheaf(s, _loads(getattr(args, "from")))
-    Y = parse_sheaf(s, _loads(args.to))
-    k1, k2 = homext.kernel_of_epi(X, Y)
-    payload = {"parts": [print_sheaf(k1), print_sheaf(k2)]}
-    return _emit(args, payload, f"{k1!r} (+) {k2!r}")
-
-
-def _cmd_cokernel(args, s: Surface) -> int:
-    from . import homext
-
-    X = parse_sheaf(s, _loads(getattr(args, "from")))
-    Y = parse_sheaf(s, _loads(args.to))
-    c1, c2 = homext.cokernel_of_mono(X, Y)
-    payload = {"parts": [print_sheaf(c1), print_sheaf(c2)]}
-    return _emit(args, payload, f"{c1!r} (+) {c2!r}")
+    # Looked up when the command runs, so a patched module attribute is used.
+    result = getattr(homext, args.function)(X, Y)
+    return _emit(args, args.payload(result), args.text(result))
 
 
 def _cmd_mutate(args, s: Surface) -> int:
@@ -509,18 +483,11 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--sheaf")
     cmd.set_defaults(func=_cmd_phi)
 
-    for name, func in (
-        ("hom", _cmd_hom),
-        ("ext", _cmd_ext),
-        ("classify", _cmd_classify),
-        ("factor", _cmd_factor),
-        ("kernel", _cmd_kernel),
-        ("cokernel", _cmd_cokernel),
-    ):
+    for name, function, payload, text in _SHEAF_PAIR_COMMANDS:
         cmd = sub.add_parser(name)
         cmd.add_argument("--from", required=True)
         cmd.add_argument("--to", required=True)
-        cmd.set_defaults(func=func)
+        cmd.set_defaults(func=_cmd_sheaf_pair, function=function, payload=payload, text=text)
 
     cmd = sub.add_parser("mutate")
     cmd.add_argument("--first", required=True)

@@ -58,14 +58,6 @@ class MapClass(_Value):
         _set(self, "tag", tag)
         _set(self, "same_object", same_object)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.tag == other.tag and self.same_object == other.same_object
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.tag, self.same_object))
-
 
 def _require_in_scope(*sheaves: SheafClass) -> Surface:
     for X in sheaves:

@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -308,6 +312,28 @@ class TestCommands:
         assert code == 1
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_complete_size_guard(self):
+        # In a fresh process with a time limit, so a missing guard fails
+        # the test instead of hanging it.
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+        )
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "wplarcs.cli", "--p", "1000", "--q", "1000", "--json",
+                "complete", "--collection", '[{"kind":"bridging","i":0,"j":0}]',
+            ],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=30,
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
     @pytest.mark.parametrize(
         "p,q,total,dyck",

@@ -13,6 +13,7 @@ from wplarcs.core import (
     Surface,
     TorsionInf,
     TorsionOrdinary,
+    Zero,
     line_bundle,
     phi,
     structure_sheaf,
@@ -25,7 +26,7 @@ from wplarcs.braid import (
     normalize_to_theta,
     word,
 )
-from wplarcs.errors import InternalInvariantViolation, NotApplicable
+from wplarcs.errors import InternalInvariantViolation, InvalidArguments, NotApplicable
 from wplarcs.exceptional import (
     _arc_pair_verdicts,
     _bridging_pool,
@@ -49,7 +50,7 @@ from wplarcs.exceptional import (
 from wplarcs.homext import ext1_dim, hom_dim, is_exceptional
 
 from algebra_oracle import exceptional_pair_oracle
-from conftest import ACCEPT_SURFACES, SMALL_SURFACES, window_arcs
+from conftest import ACCEPT_SURFACES, SMALL_SURFACES, window_arcs, window_curves
 import completion_literal
 
 S23 = Surface(2, 3)
@@ -70,6 +71,28 @@ class TestPairs:
     def test_non_exceptional_objects(self):
         assert not is_exceptional_pair(TorsionOrdinary(S23, "t", 1), O)
         assert not is_exceptional_pair(TorsionInf(S23, 0, 2), O)
+
+    @pytest.mark.parametrize("s", SMALL_SURFACES, ids=str)
+    def test_matches_the_homext_route(self, s):
+        """The pair test on curves gives the verdict of the Hom and Ext^1
+        counts of `homext`, for exceptional objects and for others."""
+
+        def through_homext(E, F):
+            if isinstance(E, (Zero, TorsionOrdinary)) or isinstance(F, (Zero, TorsionOrdinary)):
+                return False
+            if not (is_exceptional(E) and is_exceptional(F)):
+                return False
+            return hom_dim(F, E) == 0 and ext1_dim(F, E) == 0
+
+        curves = [c for c in window_curves(s, turns=1) if not c.is_degenerate()]
+        objects = [phi(c) for c in curves] + [Zero(s), TorsionOrdinary(s, "t", 1)]
+        verdicts = set()
+        for E in objects:
+            for F in objects:
+                expected = through_homext(E, F)
+                assert is_exceptional_pair(E, F) == expected, (E, F)
+                verdicts.add(expected)
+        assert verdicts == {False, True}
 
 
 class TestPairPosition:
@@ -426,6 +449,21 @@ class TestLiteralCompletion:
             collection = ArcCollection.of(s, [] if arc is None else [arc])
             expected = completion_literal.complete_to_maximal(collection)
             assert complete_to_maximal(collection) == expected, arc
+
+
+class TestCompletionGuard:
+    @pytest.mark.parametrize(
+        "p, q", [(1, 100), (51, 50), (1000, 1000), (1, 99), (50, 50)]
+    )
+    def test_refused_above_the_rank_bound_before_any_work(self, monkeypatch, p, q):
+        def started(arcs):
+            raise RuntimeError("completion started")
+
+        monkeypatch.setattr(exceptional, "_precedence_edges", started)
+        s = Surface(p, q)
+        refused = p + q > 100
+        with pytest.raises(InvalidArguments if refused else RuntimeError):
+            complete_to_maximal(ArcCollection.of(s, [Bridging(s, 0, 0)]))
 
 
 class TestCompletionRecheck:

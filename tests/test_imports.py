@@ -66,9 +66,9 @@ COMMANDS = [
     (["hom", "--from", LINE, "--to", LINE], ("core", "intersect", "homext")),
     (
         ["complete", "--collection", f"[{CURVE}]"],
-        ("core", "intersect", "homext", "exceptional"),
+        ("core", "intersect", "exceptional"),
     ),
-    (["normalize", "--collection", FAN], LAYERS[:-1]),
+    (["normalize", "--collection", FAN], ("core", "intersect", "exceptional", "braid")),
     (["census"], ("core", "intersect", "tilting")),
 ]
 
