@@ -11,9 +11,9 @@ the letters unchecked; the tests apply every letter to the collections
 within a few letters of a fan and check each result.
 
 `normalize_to_theta` sends a maximal ordered collection back to the
-canonical fan by one bidirectional search over single letters on
-collections folded by the se-shift, which reads the exact full-twist power
-off the two folds it joins, whatever the shift of the input.
+canonical fan by one bidirectional search over single letters on folded
+collections of arc ids, with shared tables bounded by (p, q); it reads the
+exact full-twist power off the two folds it joins, whatever the input's shift.
 """
 
 from __future__ import annotations
@@ -70,7 +70,7 @@ class BraidWord(_Value):
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        for idx, sign in self.letters:
+        for idx, sign in dict.fromkeys(self.letters):
             if not 1 <= idx <= self.strands - 1:
                 raise IndexOutOfRange(f"letter {idx} outside 1..{self.strands - 1}")
             if sign not in (1, -1):
@@ -260,6 +260,11 @@ def full_twist_word(s: Surface) -> BraidWord:
     return word(r, *(list(range(1, r)) * r))
 
 
+# Largest p + q `normalize_to_theta` admits.  Using up the default budget of
+# 10**6 states takes 5.3 s and 480 MB at (10, 10), 5.6 s and 580 MB at (20, 20),
+# (1, 39) and (39, 1) (2-CPU x86-64, CPython 3.11); a state holds r ids.
+MAX_NORMALIZE_RANK = 40
+
 # Longest word `normalize_to_theta` builds.  The full twist has r(r - 1)
 # letters, so at (2, 3) this admits twist powers up to 5 * 10**4; each
 # letter costs about 0.2 us to build and 5 bytes of JSON to print.
@@ -269,10 +274,6 @@ MAX_NORMALIZE_LETTERS = 1_000_000
 # ---------------------------------------------------------------------------
 # Normalization to the canonical fan.
 # ---------------------------------------------------------------------------
-
-
-def _state_key(arcs: Sequence[Curve]) -> tuple:
-    return tuple([a.key() for a in arcs])
 
 
 def _fold(arcs: tuple) -> Tuple[int, tuple]:
@@ -291,63 +292,99 @@ def _fold(arcs: tuple) -> Tuple[int, tuple]:
     raise InternalInvariantViolation("a maximal collection without bridging arcs")
 
 
+class _Table(dict):
+    """A dict that fills each missing entry with `fill(key)`."""
+
+    def __init__(self, fill) -> None:
+        self.fill = fill
+
+    def __missing__(self, key):
+        self[key] = value = self.fill(key)
+        return value
+
+
+def _new_id(arc: Curve) -> int:
+    _ARCS.append(arc)
+    _FOLDS.append(arc.anchoring_shift()[0] if type(arc) is Bridging else None)
+    return len(_ARCS) - 1
+
+
+def _step(key: Tuple[int, int, int]) -> Tuple[int, int]:
+    a, b = _apply_letter((_ARCS[key[0]], _ARCS[key[1]]), 1, key[2])
+    return _IDS[a], _IDS[b]
+
+
+# Shared by every search: arcs and their anchoring se-shifts by id, steps
+# (a, b, sign) -> (a', b') and refolds (id, k) -> id.  A folded state's last
+# bridging arc is B(0, a), -(p + q) < a <= 0, and its members pair with it, so
+# by Lemma 1 of `complete_to_maximal` they lie in a window of F = p(p + 3q) + P
+# arcs: B(i, j), 0 <= i < p, -(p + 2q) < j <= q, and the P = p(p - 1) + q(q - 1)
+# peripheral ones.  A bridging arc is followed in an exceptional pair by pq
+# bridging arcs, so at most 2(p(p + 3q)(pq + 2P) + P^2) steps each add at most
+# one id, and a refold by k, a bridging id's shift, maps ids one-to-one into F.
+_ARCS: List[Curve] = []
+_FOLDS: List[Optional[int]] = []
+_IDS = _Table(_new_id)
+_STEPS = _Table(_step)
+_SHIFTS = _Table(lambda key: _IDS[_ARCS[key[0]].se_shifted(key[1])])
+
+
 def _bidirectional_search(
     start: tuple, goal: tuple, max_depth: int, budget: int
 ) -> Optional[Tuple[int, List[Tuple[int, int]]]]:
     """(m, letters): letters (right to left) carrying start to goal se-shifted by m.
 
-    Both sides search folded collections (`_fold`), each state carrying the
-    shift its folds applied; letters commute with the se-shift, so where
-    the sides meet m is the difference of their shifts.  `budget` bounds
-    the states of both sides together.
+    Both sides search folded collections (`_fold`), as tuples of arc ids,
+    each state carrying the shift its folds applied; letters commute with
+    the se-shift, so where the sides meet m is the difference of their
+    shifts.  `budget` bounds the states of both sides together.
     """
     shift, start = _fold(start)
     goal_shift, goal = _fold(goal)
     if start == goal:
         return goal_shift - shift, []
-    # Entries: folded state, carried shift, letters so far (leftmost last).
-    sides = (
-        {_state_key(start): (start, shift, [])},
-        {_state_key(goal): (goal, goal_shift, [])},
-    )
+    start, goal = tuple([_IDS[a] for a in start]), tuple([_IDS[a] for a in goal])
+    # Entries: folded state -> (carried shift, letters so far, leftmost last).
+    sides = ({start: (shift, [])}, {goal: (goal_shift, [])})
     # Only the last layer of a side has neighbours outside it.
-    layers = [list(sides[0].values()), list(sides[1].values())]
+    layers = [list(sides[0].items()), list(sides[1].items())]
     alphabet = [(idx, sign) for idx in range(1, len(start)) for sign in (1, -1)]
+    folds, steps, shifts = _FOLDS, _STEPS, _SHIFTS
     for _ in range(max_depth):
         side = int(len(sides[0]) > len(sides[1]))  # 0 expands forward
         seen, other = sides[side], sides[1 - side]
         new: Dict[tuple, tuple] = {}
-        for state, carried, trail in layers[side]:
+        for state, (carried, trail) in layers[side]:
             # Every state is a folded ordered exceptional collection, so every
             # letter applies.  Letters right of its last bridging arc mutate
             # peripheral arcs into peripheral arcs, and letters left of it
             # leave it in place: only the two letters at it can need a refold.
-            last = max(i for i, a in enumerate(state) if type(a) is Bridging)
+            last = max(i for i, a in enumerate(state) if folds[a] is not None)
             for letter in alphabet:
-                nxt = _apply_letter(state, *letter)
+                i, sign = letter
+                nxt = state[: i - 1] + steps[state[i - 1], state[i], sign] + state[i + 1 :]
                 k = 0
-                if last <= letter[0] <= last + 1:
-                    k, nxt = _fold(nxt)
-                keyn = _state_key(nxt)
-                if keyn in seen or keyn in new:
+                if last <= i <= last + 1:  # `_fold`, through the tables
+                    k = next(folds[a] for a in reversed(nxt) if folds[a] is not None)
+                    if k:
+                        nxt = tuple([shifts[a, k] for a in nxt])
+                if nxt in seen or nxt in new:
                     continue
-                entry = (nxt, carried + k, trail + [letter])
-                hit = other.get(keyn)
+                entry = (carried + k, trail + [letter])
+                hit = other.get(nxt)
                 if hit is not None:
-                    (_, fwd_shift, fwd), (_, bwd_shift, bwd) = (
-                        (hit, entry) if side else (entry, hit)
-                    )
+                    (fwd_shift, fwd), (bwd_shift, bwd) = (hit, entry) if side else (entry, hit)
                     # Application order: the forward letters, then the
                     # backward ones undone back to front.
                     inv = [(i, -sg) for i, sg in bwd]
                     return bwd_shift - fwd_shift, inv + fwd[::-1]
-                new[keyn] = entry
+                new[nxt] = entry
                 if len(seen) + len(other) + len(new) > budget:
                     return None
         if not new:
             return None
         seen.update(new)
-        layers[side] = list(new.values())
+        layers[side] = list(new.items())
     return None
 
 
@@ -358,7 +395,8 @@ def normalize_to_theta(
 
     One search (`_bidirectional_search`), at most 4r letters deep and within
     `budget` states, finds letters w carrying the input to the fan
-    se-shifted by an exact m; the answer is (full twist)^m * w.
+    se-shifted by an exact m; the answer is (full twist)^m * w.  Surfaces
+    with p + q > MAX_NORMALIZE_RANK are refused before any work.
     """
     arcs = tuple(collection)
     if not arcs:
@@ -367,6 +405,8 @@ def normalize_to_theta(
         )
     s = _check_same_surface(*arcs)
     r = s.rank
+    if r > MAX_NORMALIZE_RANK:
+        raise InvalidArguments(f"normalize is guarded to p + q <= {MAX_NORMALIZE_RANK}")
     if len(arcs) != r:
         raise NotApplicable(f"normalization needs a maximal collection of {r} arcs")
     if not is_ordered_exceptional_collection(arcs):

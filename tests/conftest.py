@@ -4,7 +4,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from wplarcs import exceptional
+from wplarcs import braid, exceptional
 from wplarcs.core import Bridging, InnerPeripheral, OuterPeripheral, Surface
 from wplarcs.errors import InternalInvariantViolation
 
@@ -35,6 +35,15 @@ def window_curves(s: Surface, turns: int = 2, max_span_turns: int = 2):
         for span in range(s.q + 1, max_span_turns * s.q + 1):
             curves.append(OuterPeripheral(s, a, a + span))
     return curves
+
+
+def empty_braid_tables(monkeypatch):
+    """Give `braid` empty mutation and search tables for the rest of a test."""
+    monkeypatch.setattr(braid, "_MUTATE_CACHE", {})
+    monkeypatch.setattr(braid, "_ARCS", [])
+    monkeypatch.setattr(braid, "_FOLDS", [])
+    for name in ("_IDS", "_STEPS", "_SHIFTS"):
+        monkeypatch.setattr(braid, name, braid._Table(getattr(braid, name).fill))
 
 
 SMALL_SURFACES = [Surface(1, 1), Surface(1, 2), Surface(2, 2), Surface(2, 3)]

@@ -1,14 +1,16 @@
-"""The normalising search with a shift estimate and nine retries, as it once was.
+"""The normalising searches as they once were, kept as differential references.
 
-Kept in the tests as a differential reference for `braid.normalize_to_theta`,
-which searches once on collections folded by the se-shift.  This version
-estimates the global se-shift from the mean winding of the bridging arcs,
-then tries the nine shifts nearest the estimate in turn, each with a full
-bidirectional search on unfolded collections under the whole budget.  The
-search expands every state of a side in each round, as it once did.
+`normalize_literal` estimates the global se-shift from the mean winding of
+the bridging arcs, then tries the nine shifts nearest the estimate in turn,
+each with a full bidirectional search on unfolded collections under the
+whole budget.  That search expands every state of a side in each round.
+
+`curve_keyed_search` is `braid._bidirectional_search` before it ran on arc
+ids: the same folded search, with states of curves keyed by their `key()`
+tuples and every letter applied to the whole collection.
 
 Letters are applied through `braid._apply_letter`, looked up at each call,
-so a test that patches it counts this search's letters too.
+so a test that patches it counts these searches' letters too.
 """
 
 from fractions import Fraction
@@ -18,7 +20,7 @@ from wplarcs import braid
 from wplarcs.braid import (
     BraidWord,
     _check_same_surface,
-    _state_key,
+    _fold,
     canonical_theta,
     full_twist_word,
     is_ordered_exceptional_collection,
@@ -26,6 +28,10 @@ from wplarcs.braid import (
 )
 from wplarcs.core import Bridging, Curve, Surface
 from wplarcs.errors import NotApplicable, SearchExhausted
+
+
+def _state_key(arcs: Sequence[Curve]) -> tuple:
+    return tuple([a.key() for a in arcs])
 
 
 def _compose_power(w: BraidWord, n: int) -> BraidWord:
@@ -119,3 +125,50 @@ def normalize_literal(
             continue
         return _compose_power(twist_inv, m) * BraidWord(r, tuple(letters))
     raise SearchExhausted("no normalizing word found within the search budget")
+
+
+def curve_keyed_search(
+    start: tuple, goal: tuple, max_depth: int, budget: int
+) -> Optional[Tuple[int, List[Tuple[int, int]]]]:
+    """(m, letters) as `braid._bidirectional_search` returns them, on curves."""
+    shift, start = _fold(start)
+    goal_shift, goal = _fold(goal)
+    if start == goal:
+        return goal_shift - shift, []
+    # Entries: folded state, carried shift, letters so far (leftmost last).
+    sides = (
+        {_state_key(start): (start, shift, [])},
+        {_state_key(goal): (goal, goal_shift, [])},
+    )
+    layers = [list(sides[0].values()), list(sides[1].values())]
+    alphabet = [(idx, sign) for idx in range(1, len(start)) for sign in (1, -1)]
+    for _ in range(max_depth):
+        side = int(len(sides[0]) > len(sides[1]))
+        seen, other = sides[side], sides[1 - side]
+        new: Dict[tuple, tuple] = {}
+        for state, carried, trail in layers[side]:
+            last = max(i for i, a in enumerate(state) if type(a) is Bridging)
+            for letter in alphabet:
+                nxt = braid._apply_letter(state, *letter)
+                k = 0
+                if last <= letter[0] <= last + 1:
+                    k, nxt = _fold(nxt)
+                keyn = _state_key(nxt)
+                if keyn in seen or keyn in new:
+                    continue
+                entry = (nxt, carried + k, trail + [letter])
+                hit = other.get(keyn)
+                if hit is not None:
+                    (_, fwd_shift, fwd), (_, bwd_shift, bwd) = (
+                        (hit, entry) if side else (entry, hit)
+                    )
+                    inv = [(i, -sg) for i, sg in bwd]
+                    return bwd_shift - fwd_shift, inv + fwd[::-1]
+                new[keyn] = entry
+                if len(seen) + len(other) + len(new) > budget:
+                    return None
+        if not new:
+            return None
+        seen.update(new)
+        layers[side] = list(new.values())
+    return None

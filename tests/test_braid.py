@@ -25,7 +25,7 @@ from wplarcs.braid import (
     theta,
     word,
 )
-from wplarcs.errors import InvalidArguments, NotExceptional
+from wplarcs.errors import IndexOutOfRange, InvalidArguments, NotExceptional
 from wplarcs.exceptional import (
     is_exceptional_pair,
     is_ordered_exceptional_collection,
@@ -33,8 +33,8 @@ from wplarcs.exceptional import (
     ArcCollection,
 )
 
-from conftest import ACCEPT_SURFACES, window_arcs
-from normalize_literal import _compose_power, normalize_literal
+from conftest import ACCEPT_SURFACES, empty_braid_tables, window_arcs
+from normalize_literal import _compose_power, curve_keyed_search, normalize_literal
 from algebra_oracle import (
     algebraic_left_mutation,
     algebraic_right_mutation,
@@ -582,6 +582,8 @@ class TestNormalizeFolded:
             L = _scrambled(s, rng, max_letters=6, max_shift=0)
             found, counts = [], []
             for t in (0, 10**6):
+                # From empty tables, so that both counts are of cold work.
+                empty_braid_tables(monkeypatch)
                 calls[0] = 0
                 shifted = se_shift_collection(L, t)
                 found.append(braid._bidirectional_search(shifted, th, 4 * s.rank, 10**6))
@@ -589,8 +591,14 @@ class TestNormalizeFolded:
             (m0, letters0), (m1, letters1) = found
             assert counts[0] == counts[1]
             assert letters0 == letters1 and m1 - m0 == 10**6
+            # Warm, a search at another shift meets only tabled steps.
+            calls[0] = 0
+            far = se_shift_collection(L, -(10**18))
+            again = braid._bidirectional_search(far, th, 4 * s.rank, 10**6)
+            assert again == (m0 - 10**18, letters0) and calls[0] == 0
             # normalize_to_theta makes the same search, then refuses the
             # word of 10**6 full twists.
+            empty_braid_tables(monkeypatch)
             calls[0] = 0
             with pytest.raises(InvalidArguments):
                 normalize_to_theta(se_shift_collection(L, 10**6))
@@ -609,3 +617,77 @@ class TestNormalizeFolded:
         with pytest.raises(InvalidArguments, match="full twist"):
             normalize_to_theta(L)
         assert built == []
+
+
+DIFFERENTIAL_SURFACES = ACCEPT_SURFACES + [Surface(3, 4), Surface(4, 5)]
+
+
+class TestIdSearch:
+    """The search on arc ids against the curve-keyed search it replaced."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_same_answer_as_the_curve_keyed_search(self, data):
+        s = data.draw(st.sampled_from(DIFFERENTIAL_SURFACES))
+        r = s.rank
+        shift = data.draw(st.integers(-(10**18), 10**18))
+        signed = st.integers(1, r - 1).flatmap(lambda i: st.sampled_from([i, -i]))
+        n = data.draw(st.integers(0, 5))
+        letters = data.draw(st.lists(signed, min_size=n, max_size=n))
+        budget = data.draw(st.one_of(st.just(10**6), st.integers(1, 300)))
+        goal = canonical_theta(s)
+        L = apply_braid(se_shift_collection(goal, shift), word(r, *letters))
+        with pytest.MonkeyPatch.context() as mp:
+            if data.draw(st.booleans(), label="empty tables"):
+                empty_braid_tables(mp)
+            found = braid._bidirectional_search(L, goal, 4 * r, budget)
+        assert found == curve_keyed_search(L, goal, 4 * r, budget)
+
+    @pytest.mark.parametrize("s", DIFFERENTIAL_SURFACES, ids=str)
+    def test_same_answer_on_seeded_scrambles(self, s):
+        rng = random.Random(59)
+        goal, depth = canonical_theta(s), 4 * s.rank
+        for _ in range(40):
+            L = _scrambled(s, rng, max_letters=5, max_shift=10**18)
+            for budget in (10**6, 50):
+                found = braid._bidirectional_search(L, goal, depth, budget)
+                assert found == curve_keyed_search(L, goal, depth, budget), L
+
+    def test_some_inputs_use_up_a_small_budget(self):
+        # So the differential test's budgets reach the None answer.
+        s = Surface(4, 5)
+        L = apply_braid(canonical_theta(s), word(s.rank, 3, -7, 5, 1, -8))
+        for budget in (1, 50):
+            assert braid._bidirectional_search(L, canonical_theta(s), 36, budget) is None
+            assert curve_keyed_search(L, canonical_theta(s), 36, budget) is None
+
+
+class TestBraidWordCheck:
+    def test_the_first_bad_letter_is_reported(self):
+        letters = ((1, 1), (2, -1), (1, 1), (5, 1), (2, 0), (7, 1))
+        with pytest.raises(IndexOutOfRange, match=r"^letter 5 outside 1\.\.2$"):
+            BraidWord(3, letters)
+        with pytest.raises(InvalidArguments, match="sign"):
+            BraidWord(3, letters[:3] + letters[4:])
+
+
+class TestNormalizeGuard:
+    @pytest.mark.parametrize(
+        "p, q, refused",
+        [
+            (7, 8, False),
+            (20, 20, False),
+            (1, 39, False),
+            (20, 21, True),
+            (60, 60, True),
+            (1000, 1000, True),
+        ],
+    )
+    def test_refused_above_the_rank_bound_before_any_work(self, monkeypatch, p, q, refused):
+        def started(arcs):
+            raise RuntimeError("normalisation started")
+
+        monkeypatch.setattr(braid, "is_ordered_exceptional_collection", started)
+        s = Surface(p, q)
+        with pytest.raises(InvalidArguments if refused else RuntimeError):
+            normalize_to_theta(canonical_theta(s))

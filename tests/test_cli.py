@@ -27,12 +27,29 @@ from wplarcs.core import (
     line_bundle,
     normal_form,
 )
-from wplarcs.braid import canonical_theta, se_shift_collection
+from wplarcs.braid import apply_braid, canonical_theta, se_shift_collection, word
 from wplarcs.errors import NotApplicable
 from wplarcs.exceptional import is_ordered_exceptional_collection
 from wplarcs.homext import cokernel_of_mono, epi_mono_factor, kernel_of_epi
 
 S23 = Surface(2, 3)
+
+
+def _fresh_cli(*args: str) -> subprocess.CompletedProcess:
+    """`wplarcs.cli` in a fresh process with a time limit, so that a missing
+    size guard fails the test instead of hanging it."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    return subprocess.run(
+        [sys.executable, "-m", "wplarcs.cli", *args],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=30,
+    )
 
 
 def _line(l1, l2, l):
@@ -314,22 +331,22 @@ class TestCommands:
         assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_complete_size_guard(self):
-        # In a fresh process with a time limit, so a missing guard fails
-        # the test instead of hanging it.
-        env = dict(os.environ)
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env["PYTHONPATH"] = os.pathsep.join(
-            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+        proc = _fresh_cli(
+            "--p", "1000", "--q", "1000", "--json",
+            "complete", "--collection", '[{"kind":"bridging","i":0,"j":0}]',
         )
-        proc = subprocess.run(
-            [
-                sys.executable, "-m", "wplarcs.cli", "--p", "1000", "--q", "1000", "--json",
-                "complete", "--collection", '[{"kind":"bridging","i":0,"j":0}]',
-            ],
-            capture_output=True,
-            text=True,
-            env=env,
-            timeout=30,
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("p,q", [(60, 60), (1000, 1000)])
+    def test_normalize_size_guard(self, p, q):
+        # A scramble, not the fan: the search would have work to do.
+        s = Surface(p, q)
+        scrambled = apply_braid(canonical_theta(s), word(s.rank, 3, -1, 4, -2, 5))
+        collection = json.dumps([print_curve(a) for a in scrambled])
+        proc = _fresh_cli(
+            "--p", str(p), "--q", str(q), "--json", "normalize", "--collection", collection
         )
         assert proc.returncode == 1
         assert proc.stdout == ""

@@ -4,7 +4,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wplarcs import braid, core, exceptional, homext
+from wplarcs import core, exceptional, homext
 
 from wplarcs.core import (
     Bridging,
@@ -50,7 +50,13 @@ from wplarcs.exceptional import (
 from wplarcs.homext import ext1_dim, hom_dim, is_exceptional
 
 from algebra_oracle import exceptional_pair_oracle
-from conftest import ACCEPT_SURFACES, SMALL_SURFACES, window_arcs, window_curves
+from conftest import (
+    ACCEPT_SURFACES,
+    SMALL_SURFACES,
+    empty_braid_tables,
+    window_arcs,
+    window_curves,
+)
 import completion_literal
 
 S23 = Surface(2, 3)
@@ -557,7 +563,7 @@ class TestArcsAlone:
                     if any(value is f for f in banned):
                         monkeypatch.setattr(module, attr, boom)
         monkeypatch.setattr(exceptional, "_PAIR_CACHE", {})
-        monkeypatch.setattr(braid, "_MUTATE_CACHE", {})
+        empty_braid_tables(monkeypatch)
         with pytest.raises(AssertionError):
             is_exceptional_pair(O, O)
 

@@ -1,4 +1,4 @@
-"""The pair-verdict and mutation tables: keyed up to twist, bounded by (p, q)."""
+"""The pair-verdict, mutation and search tables: bounded by (p, q), whatever the shift."""
 
 import random
 
@@ -37,7 +37,7 @@ from wplarcs.exceptional import (
     is_ordered_exceptional_collection,
 )
 
-from conftest import window_arcs
+from conftest import empty_braid_tables, window_arcs
 
 KINDS = (Bridging, InnerPeripheral, OuterPeripheral)
 MIX_SURFACES = [Surface(2, 3), Surface(3, 4), Surface(4, 5)]
@@ -49,6 +49,36 @@ def table_bound(s: Surface) -> int:
     """Anchored pairs on a surface, as the `exceptional` module comment counts them."""
     p, q = s.p, s.q
     return p * (2 * q + 1) + p * (p * p - 1) + q * (q * q - 1) + 2 * (p - 1) * (q - 1)
+
+
+def search_bounds(s: Surface) -> tuple:
+    """(ids, steps, shift entries) of the search tables on a surface, as the
+    `braid` comment above `_ARCS` counts them."""
+    p, q = s.p, s.q
+    peripheral = p * (p - 1) + q * (q - 1)
+    window = p * (p + 3 * q) + peripheral
+    steps = 2 * (p * (p + 3 * q) * (p * q + 2 * peripheral) + peripheral**2)
+    ids = window + steps
+    # Into the window, one-to-one for each k, and each k a bridging id's shift.
+    return ids, steps, window * ids
+
+
+def search_table_sizes(s: Surface) -> tuple:
+    """(ids, steps, shift entries) of the search tables on the surface s."""
+    on_s = {i for i, arc in enumerate(braid._ARCS) if arc.surface == s}
+    return (
+        len(on_s),
+        sum(key[0] in on_s for key in braid._STEPS),
+        sum(key[0] in on_s for key in braid._SHIFTS),
+    )
+
+
+def in_folded_window(arc) -> bool:
+    """An arc of the window every member of a folded state lies in."""
+    s = arc.surface
+    if type(arc) is Bridging:
+        return -(s.p + 2 * s.q) < arc.j <= s.q
+    return arc.is_arc()
 
 
 def anchored_pair(key: tuple):
@@ -64,7 +94,7 @@ def letters(rng: random.Random, r: int, n: int) -> list:
 @pytest.fixture
 def empty_tables(monkeypatch):
     monkeypatch.setattr(exceptional, "_PAIR_CACHE", {})
-    monkeypatch.setattr(braid, "_MUTATE_CACHE", {})
+    empty_braid_tables(monkeypatch)
 
 
 class TestTwist:
@@ -111,7 +141,8 @@ class TestTables:
     @pytest.fixture
     def mixed_run(self, empty_tables):
         """Completions at windings 0, +-1e9 and +-1e18, braids and
-        normalisations on each mix surface."""
+        normalisations on each mix surface; the normalised inputs."""
+        normalised = []
         rng = random.Random(17)
         for s in MIX_SURFACES:
             r = s.rank
@@ -134,6 +165,8 @@ class TestTables:
                     se_shift_collection(fan, shift), word(r, *letters(rng, r, 4))
                 )
                 assert apply_braid(start, normalize_to_theta(start)) == fan
+                normalised.append(start)
+        return normalised
 
     def test_entries_match_the_uncached_answers(self, mixed_run):
         # An entry holds both verdicts of its pair: (alpha, beta), then
@@ -158,6 +191,63 @@ class TestTables:
             mutations = [k for k, _ in braid._MUTATE_CACHE if k[:2] == (s.p, s.q)]
             assert 0 < len(pairs) <= table_bound(s)
             assert 0 < len(mutations) <= 2 * table_bound(s)
+
+    def test_search_entries_match_the_curves(self, mixed_run):
+        arcs = braid._ARCS
+        assert len(arcs) == len(set(arcs)) == len(braid._IDS) == len(braid._FOLDS)
+        for i, arc in enumerate(arcs):
+            assert braid._IDS[arc] == i
+            fold = arc.anchoring_shift()[0] if isinstance(arc, Bridging) else None
+            assert braid._FOLDS[i] == fold
+        for (a, b, sign), (a2, b2) in braid._STEPS.items():
+            alpha, beta = arcs[a], arcs[b]
+            if sign > 0:
+                expected = (_mutate_pair(alpha, beta, LEFT), alpha)
+            else:
+                expected = (beta, _mutate_pair(alpha, beta, RIGHT))
+            assert (arcs[a2], arcs[b2]) == expected
+        for (a, k), b in braid._SHIFTS.items():
+            assert k and arcs[a].se_shifted(k) == arcs[b]
+
+    def test_search_tables_stay_within_the_bound(self, mixed_run):
+        for s in MIX_SURFACES:
+            ids, steps, shifts = search_table_sizes(s)
+            bound_ids, bound_steps, bound_shifts = search_bounds(s)
+            assert 0 < steps <= bound_steps, (s, steps, bound_steps)
+            assert ids <= bound_ids and shifts <= bound_shifts, (s, ids, shifts)
+
+    def test_steps_and_refolds_stay_in_the_folded_window(self, mixed_run):
+        # Steps are keyed on two members of a folded state, and a refold
+        # lands on one: the argument behind the bound.
+        arcs = braid._ARCS
+        for a, b, _ in braid._STEPS:
+            assert in_folded_window(arcs[a]) and in_folded_window(arcs[b])
+        for target in braid._SHIFTS.values():
+            assert in_folded_window(arcs[target])
+
+    def test_searches_at_far_shifts_add_no_entries(self, mixed_run):
+        sizes = [search_table_sizes(s) for s in MIX_SURFACES]
+        mutations = len(braid._MUTATE_CACHE)
+        for start in mixed_run:
+            s = start[0].surface
+            goal, depth = canonical_theta(s), 4 * s.rank
+            m, found = braid._bidirectional_search(start, goal, depth, 10**6)
+            for t in (10**9, 10**18):
+                far = se_shift_collection(start, t)
+                assert braid._bidirectional_search(far, goal, depth, 10**6) == (m + t, found)
+        assert [search_table_sizes(s) for s in MIX_SURFACES] == sizes
+        assert len(braid._MUTATE_CACHE) == mutations
+
+    @pytest.mark.parametrize(
+        "s", [Surface(1, 1), Surface(1, 5), Surface(2, 3), Surface(5, 2), Surface(4, 5)],
+        ids=str,
+    )
+    def test_a_bridging_arc_is_followed_by_pq_bridging_arcs(self, s):
+        # Bridging partners lie within q turns (Lemma 1), so a 3-turn
+        # window sees them all.
+        first = Bridging(s, 0, 0)
+        after = [b for b in window_arcs(s, turns=3) if isinstance(b, Bridging)]
+        assert sum(_pair_verdict(first, b) for b in after) == s.p * s.q
 
     @pytest.mark.parametrize(
         "s", [Surface(1, 1), Surface(1, 3), Surface(2, 3), Surface(3, 3), Surface(4, 5)],
