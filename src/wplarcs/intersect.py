@@ -42,6 +42,35 @@ class EndpointRelation(_Value):
     clockwise_follows: bool
 
 
+# (type(c1), type(c2)) -> rule(c1, c2, p, q) giving `_crossing_offsets`.
+# Bridging never crosses a peripheral positively in this order, and the two
+# boundaries never meet.
+_NO_OFFSETS = lambda c1, c2, p, q: (0, -1, "")
+_OFFSET_RULES = {
+    (Bridging, Bridging): lambda c1, c2, p, q: (
+        (c1.j - c2.j) // q + 1, (c1.i - c2.i - 1) // p, "bridging-bridging"
+    ),
+    (InnerPeripheral, Bridging): lambda c1, c2, p, q: (
+        (c1.a - c2.i) // p + 1, (c1.b - c2.i - 1) // p, "inner-bridging"
+    ),
+    (OuterPeripheral, Bridging): lambda c1, c2, p, q: (
+        (c1.a - c2.j) // q + 1, (c1.b - c2.j - 1) // q, "outer-bridging"
+    ),
+    # c2's translate must also start before c1: c2.a + k*p < c1.a.
+    (InnerPeripheral, InnerPeripheral): lambda c1, c2, p, q: (
+        (c1.a - c2.b) // p + 1, (min(c1.b - c2.b, c1.a - c2.a) - 1) // p, "inner-inner"
+    ),
+    # c2's translate must also end after c1: c2.b + k*q > c1.b.
+    (OuterPeripheral, OuterPeripheral): lambda c1, c2, p, q: (
+        max(c1.a - c2.a, c1.b - c2.b) // q + 1, (c1.b - c2.a - 1) // q, "outer-outer"
+    ),
+    (Bridging, InnerPeripheral): _NO_OFFSETS,
+    (Bridging, OuterPeripheral): _NO_OFFSETS,
+    (InnerPeripheral, OuterPeripheral): _NO_OFFSETS,
+    (OuterPeripheral, InnerPeripheral): _NO_OFFSETS,
+}
+
+
 def _crossing_offsets(c1: Curve, c2: Curve) -> Tuple[int, int, str]:
     """(kmin, kmax, config): c2's lift translated by k turns crosses c1's
     positively exactly for kmin <= k <= kmax (none when kmax < kmin).
@@ -50,27 +79,18 @@ def _crossing_offsets(c1: Curve, c2: Curve) -> Tuple[int, int, str]:
     num // den + 1 is the least k > num/den and (num - 1) // den the
     greatest k < num/den.
     """
-    if isinstance(c1, Loop) or isinstance(c2, Loop):
-        raise OutOfScope("intersection numbers involving loops are out of scope")
-    s = _check_same_surface(c1, c2)
-    p, q = s.p, s.q
-    if isinstance(c1, Bridging) and isinstance(c2, Bridging):
-        return (c1.j - c2.j) // q + 1, (c1.i - c2.i - 1) // p, "bridging-bridging"
-    if isinstance(c1, InnerPeripheral) and isinstance(c2, Bridging):
-        return (c1.a - c2.i) // p + 1, (c1.b - c2.i - 1) // p, "inner-bridging"
-    if isinstance(c1, OuterPeripheral) and isinstance(c2, Bridging):
-        return (c1.a - c2.j) // q + 1, (c1.b - c2.j - 1) // q, "outer-bridging"
-    if isinstance(c1, InnerPeripheral) and isinstance(c2, InnerPeripheral):
-        # c2's translate must also start before c1: c2.a + k*p < c1.a.
-        hi = min(c1.b - c2.b, c1.a - c2.a)
-        return (c1.a - c2.b) // p + 1, (hi - 1) // p, "inner-inner"
-    if isinstance(c1, OuterPeripheral) and isinstance(c2, OuterPeripheral):
-        # c2's translate must also end after c1: c2.b + k*q > c1.b.
-        lo = max(c1.a - c2.a, c1.b - c2.b)
-        return lo // q + 1, (c1.b - c2.a - 1) // q, "outer-outer"
-    # Bridging never crosses a peripheral positively in this order, and the
-    # two boundaries never meet.
-    return 0, -1, ""
+    try:
+        rule = _OFFSET_RULES[type(c1), type(c2)]
+    except KeyError:
+        if isinstance(c1, Loop) or isinstance(c2, Loop):
+            raise OutOfScope(
+                "intersection numbers involving loops are out of scope"
+            ) from None
+        rule = _NO_OFFSETS
+    s = c1.surface
+    if c2.surface is not s:
+        _check_same_surface(c1, c2)
+    return rule(c1, c2, s.p, s.q)
 
 
 def positive_crossings(c1: Curve, c2: Curve) -> Tuple[CrossingWitness, ...]:
@@ -89,7 +109,7 @@ def positive_int(c1: Curve, c2: Curve) -> int:
     The length of the offset interval: O(1) in the answer, no witnesses.
     """
     kmin, kmax, _ = _crossing_offsets(c1, c2)
-    return max(0, kmax - kmin + 1)
+    return kmax - kmin + 1 if kmax >= kmin else 0
 
 
 # ---------------------------------------------------------------------------

@@ -19,14 +19,16 @@ shifted.  The enumeration refuses surfaces with more than
 The census counts families, not members.  An anchored family is a set of
 anchor arcs plus one triangulation of each of the two polygons they cut
 out, so it has catalan(n_in - 2) * catalan(n_out - 2) members.  Each family
-is checked once, with every crossing verdict its members would get, and
-each distinct arc pair is tested once per census.  Its anchoring is checked
-once too, by a lemma: anchors and chords lie in one member exactly when no
-two of the chords interleave in one polygon.  So whether some member holds
-a given anchor pattern at a given shift is read off the places of the
-pattern's arcs, and no member is built.  The staircases of the lattice
-paths are checked together, one test per pair of comparable lattice
-points.  `is_triangulation` and `triangulation()` remain the check on arc
+is checked once, with every crossing verdict its members would get.  Its
+anchoring is checked once too, by a lemma: anchors and chords lie in one
+member exactly when no two of the chords interleave in one polygon.  So
+whether some member holds a given anchor pattern at a given shift is read
+off the places of the pattern's arcs, and no member is built.  The
+staircases of the lattice paths are checked together, one verdict per pair
+of comparable lattice points.  The families and staircases of one census
+share one arc table (`_Verdicts`): each distinct arc is built, arc-tested
+and given its anchoring probes once, and each distinct pair is tested
+once.  `is_triangulation` and `triangulation()` remain the check on arc
 sets from outside the program.
 """
 
@@ -34,7 +36,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
 
 from .core import (
@@ -351,15 +353,18 @@ def se_canonical(t: Triangulation) -> Triangulation:
 
 
 class _Verdicts:
-    """Crossing verdicts of one enumeration or census, keyed on arc ids.
+    """The arc table of one enumeration or census, on one surface.
 
-    Each distinct arc gets a small int id when first seen, so a verdict
-    look-up hashes a pair of ints rather than a pair of curves.
+    Arcs get small int ids when first seen, and every family of the call
+    shares the facts kept under them: the arc of a lift-point join, built
+    and arc-tested once; an arc's anchoring probes; a pair's verdict.
     """
 
     def __init__(self) -> None:
         self.arcs: List[Curve] = []
         self._ids: Dict[Curve, int] = {}
+        self._joins: Dict[tuple, int] = {}
+        self._anchoring: Dict[int, Tuple[int, List[Tuple[int, ...]]]] = {}
         self._crossing: Dict[Tuple[int, int], bool] = {}
 
     def arc_id(self, arc: Curve) -> int:
@@ -369,16 +374,49 @@ class _Verdicts:
             self.arcs.append(arc)
         return n
 
-    def require_non_crossing(self, x: int, y: int, what: str) -> None:
-        """Raise unless arcs x and y do not cross; each pair is tested once."""
-        crossing = self._crossing.get((x, y))
-        if crossing is None:
-            crossing = _crossing(self.arcs[x], self.arcs[y])
-            self._crossing[x, y] = self._crossing[y, x] = crossing
-        if crossing:
-            raise InternalInvariantViolation(
-                f"{what}: {self.arcs[x]!r} and {self.arcs[y]!r} cross"
-            )
+    def join_ids(self, s: Surface, vertices, chords) -> List[int]:
+        """The id of `connector(s, vertices[i], vertices[j])` for each (i, j)."""
+        joins = self._joins
+        get = joins.get
+        ids = []
+        for i, j in chords:
+            ends = vertices[i], vertices[j]
+            x = get(ends)
+            if x is None:
+                arc = connector(s, *ends)
+                _require_arcs(s, (arc,))
+                x = joins[ends] = self.arc_id(arc)
+            ids.append(x)
+        return ids
+
+    def anchoring(self, s: Surface, x: int) -> Tuple[int, List[Tuple[int, ...]]]:
+        """(k, each anchor pattern's probe ids) for arc x's candidate (k, a)."""
+        found = self._anchoring.get(x)
+        if found is None:
+            arc, found = self.arcs[x], (0, [])
+            candidate = _anchor_candidate(arc) if isinstance(arc, Bridging) else None
+            if candidate is not None:
+                k, a = candidate
+                found = k, [
+                    tuple(self.arc_id(probe.se_shifted(-k)) for probe in pattern)
+                    for pattern in _anchor_patterns(s, a)
+                ]
+            self._anchoring[x] = found
+        return found
+
+    def require_non_crossing(self, pairs: Iterable[Tuple[int, int]], what: str) -> None:
+        """Raise unless no pair of arcs crosses; each pair is tested once."""
+        known = self._crossing
+        get = known.get
+        arcs = self.arcs
+        for x, y in pairs:
+            crossing = get((x, y))
+            if crossing is None:
+                crossing = known[x, y] = known[y, x] = _crossing(arcs[x], arcs[y])
+            if crossing:
+                raise InternalInvariantViolation(
+                    f"{what}: {arcs[x]!r} and {arcs[y]!r} cross"
+                )
 
 
 def _require_arcs(s: Surface, curves: Iterable[Curve]) -> None:
@@ -417,6 +455,21 @@ def _interleave(c: Tuple[int, int], d: Tuple[int, int]) -> bool:
     """Two diagonals of a convex polygon that no triangulation holds together."""
     (i, j), (k, l) = c, d
     return i < k < j < l or k < i < l < j
+
+
+@lru_cache(maxsize=None)
+def _polygon_chords(n: int):
+    """The diagonals (i, j), i < j, of a convex n-gon, each in some
+    triangulation, and the index pairs of those that do not interleave."""
+    chords = tuple(
+        (i, j) for i in range(n) for j in range(i + 2, n) if (i, j) != (0, n - 1)
+    )
+    pairs = tuple(
+        (a, b)
+        for a, b in combinations(range(len(chords)), 2)
+        if not _interleave(chords[a], chords[b])
+    )
+    return chords, pairs
 
 
 # Where an arc sits in its anchored family: None for an anchor, or
@@ -486,31 +539,19 @@ class _Family(_Value):
             )
         _require_arcs(s, anchors)
         anchor_ids = [verdicts.arc_id(x) for x in anchors]
-        for x, y in combinations(anchor_ids, 2):
-            verdicts.require_non_crossing(x, y, "two anchors cross")
+        require = verdicts.require_non_crossing
+        require(combinations(anchor_ids, 2), "two anchors cross")
         chord_ids = []
         for vertices in polygons:
-            n = len(vertices)
-            # The n-gon's diagonals; each lies in some triangulation.
-            chords = [
-                (i, j) for i in range(n) for j in range(i + 2, n) if (i, j) != (0, n - 1)
-            ]
-            arcs = [connector(s, vertices[i], vertices[j]) for i, j in chords]
-            _require_arcs(s, arcs)
-            ids = [verdicts.arc_id(arc) for arc in arcs]
-            for x in ids:
-                for y in anchor_ids:
-                    verdicts.require_non_crossing(x, y, "an anchor crosses a chord")
-            for (c, x), (d, y) in combinations(zip(chords, ids), 2):
-                if not _interleave(c, d):
-                    verdicts.require_non_crossing(
-                        x, y, "two chords of one polygon cross"
-                    )
+            chords, pairs = _polygon_chords(len(vertices))
+            ids = verdicts.join_ids(s, vertices, chords)
+            require(product(ids, anchor_ids), "an anchor crosses a chord")
+            require(
+                [(ids[a], ids[b]) for a, b in pairs], "two chords of one polygon cross"
+            )
             chord_ids.append((chords, ids))
         (_, ids_in), (_, ids_out) = chord_ids
-        for x in ids_in:
-            for y in ids_out:
-                verdicts.require_non_crossing(x, y, "chords of the two polygons cross")
+        require(product(ids_in, ids_out), "chords of the two polygons cross")
         places: Dict[int, _Place] = dict.fromkeys(anchor_ids)
         for polygon, (chords, ids) in enumerate(chord_ids):
             places.update(zip(ids, ((polygon, chord) for chord in chords)))
@@ -543,25 +584,20 @@ class _Family(_Value):
                     )
                 yield arcs
 
-    def check_anchoring(
-        self,
-        verdicts: _Verdicts,
-        places: Dict[int, _Place],
-        probes: Dict[Tuple[int, int], List[Tuple[int, ...]]],
-    ) -> None:
+    def check_anchoring(self, verdicts: _Verdicts, places: Dict[int, _Place]) -> None:
         """Each member is its own `se_canonical` form, in no other family.
 
         The per-member test `se_canonical(t) == t`, made once for the whole
         family (`places` is what `validate` returned).  Each bridging arc c
         of the family gives its candidate (k, a) (`_anchor_candidate`); the
         probes of each pattern of `_anchor_patterns(s, a)` are un-shifted by
-        k.  Some member holds c and those probes exactly when each probe has
-        a place in the family and `_held_together` accepts the places.  Such
-        a hit at k != 0 gives a member the anchoring shift k, and one at
-        k = 0 on a pattern other than the family's anchors a member that two
-        families share; both raise `InternalInvariantViolation`, as does a
-        family whose own anchors are never hit.  `probes` keeps the probe
-        ids of each (k, a) for the other families of one census.
+        k (`_Verdicts.anchoring`, once per arc of the census).  Some member
+        holds c and those probes exactly when each probe has a place in the
+        family and `_held_together` accepts the places.  Such a hit at
+        k != 0 gives a member the anchoring shift k, and one at k = 0 on a
+        pattern other than the family's anchors a member that two families
+        share; both raise `InternalInvariantViolation`, as does a family
+        whose own anchors are never hit.
 
         Cost: at most one candidate per bridging arc of the family, which has
         O((p + q)^2) of them, each with at most p + q patterns of at most two
@@ -569,30 +605,18 @@ class _Family(_Value):
         """
         s = self.surface
         anchors = {x for x, place in places.items() if place is None}
+        held = places.__contains__
         anchored = False
         for c, place in places.items():
-            arc = verdicts.arcs[c]
-            if not isinstance(arc, Bridging):
-                continue
-            candidate = _anchor_candidate(arc)
-            if candidate is None:
-                continue
-            patterns = probes.get(candidate)
-            if patterns is None:
-                k, a = candidate
-                patterns = probes[candidate] = [
-                    tuple(verdicts.arc_id(probe.se_shifted(-k)) for probe in pattern)
-                    for pattern in _anchor_patterns(s, a)
-                ]
+            k, patterns = verdicts.anchoring(s, c)
             for pattern in patterns:
-                if not all(x in places for x in pattern) or not _held_together(
-                    [place, *(places[x] for x in pattern)]
+                if not all(map(held, pattern)) or not _held_together(
+                    [place, *map(places.__getitem__, pattern)]
                 ):
                     continue
-                if candidate[0]:
+                if k:
                     raise InternalInvariantViolation(
-                        "an anchored family member has the anchoring shift "
-                        f"{candidate[0]}"
+                        f"an anchored family member has the anchoring shift {k}"
                     )
                 if {c, *pattern} != anchors:
                     raise InternalInvariantViolation(
@@ -682,9 +706,11 @@ _RANK_OVER_CAP = next(
 )
 
 # Largest p + q the census admits.  On the host above a census at
-# p + q = 20 takes 0.25 s at (10, 10) to 0.46 s at (1, 19); at p + q = 30
-# it takes 2.4 s at (15, 15) and 5.2 s at (1, 29).  Validation makes O(n^4)
-# verdict look-ups per family, for O(n^2) families, n = p + q.
+# p + q = 20 takes 0.11 s at (10, 10) to 0.22 s at (1, 19) in-process (0.16
+# to 0.26 s as a `wplarcs` process); at p + q = 30 it takes 1.2 s at
+# (15, 15) and 2.6 s at (1, 29).  With n = p + q, each of the O(n^2)
+# families makes O(n^4) verdict look-ups, of which the census tests O(n^4)
+# distinct pairs in all.
 MAX_CENSUS_RANK = 20
 
 # Largest p*q the lattice-path counts admit.  On the host above (1000, 1000)
@@ -695,6 +721,8 @@ MAX_PATH_CELLS = 1_000_000
 
 
 def _check_path_cells(p: int, q: int) -> None:
+    if p < 1 or q < 1:
+        raise InvalidArguments("path counts need weights p, q >= 1")
     if p * q > MAX_PATH_CELLS:
         raise InvalidArguments(f"path counts are guarded to p * q <= {MAX_PATH_CELLS}")
 
@@ -710,7 +738,7 @@ def _check_enumeration_size(s: Surface) -> None:
         )
 
 
-def _check_staircases(s: Surface) -> None:
+def _check_staircases(s: Surface, verdicts: _Verdicts) -> None:
     """Validate every triangulation `path_to_tilting` reads off a path.
 
     The staircase of a path holds B(x, y) for its points but the closing
@@ -721,13 +749,14 @@ def _check_staircases(s: Surface) -> None:
     (p + 1)(q + 1) - 1 staircase arcs are pairwise distinct.
     """
     points = [(x, y) for x in range(s.p + 1) for y in range(s.q + 1)][:-1]
-    arc = {point: Bridging(s, *point) for point in points}
-    _require_arcs(s, arc.values())
-    for (x1, y1), (x2, y2) in combinations(points, 2):
-        # x1 <= x2 in this order, so the pair is comparable when y1 <= y2.
-        if y1 <= y2 and _crossing(arc[x1, y1], arc[x2, y2]):
-            raise InternalInvariantViolation("two arcs of one staircase cross")
-    if len(set(arc.values())) != len(points):
+    arcs = [Bridging(s, *point) for point in points]
+    _require_arcs(s, arcs)
+    ids = [verdicts.arc_id(arc) for arc in arcs]
+    pairs = combinations(range(len(points)), 2)
+    # x1 <= x2 in this order, so the pair is comparable when y1 <= y2.
+    comparable = [(ids[m], ids[n]) for m, n in pairs if points[m][1] <= points[n][1]]
+    verdicts.require_non_crossing(comparable, "two arcs of one staircase cross")
+    if len(set(ids)) != len(points):
         raise InternalInvariantViolation("two lattice points give one staircase arc")
 
 
@@ -748,18 +777,17 @@ def census(p: int, q: int) -> Dict[str, int]:
         raise InvalidArguments(f"census is guarded to p + q <= {MAX_CENSUS_RANK}")
     s = Surface(p, q)
 
-    _check_staircases(s)
+    verdicts = _Verdicts()
+    _check_staircases(s, verdicts)
     bundle_classes, fundamental = lattice_path_counts(p, q)
     if bundle_classes != math.comb(p + q, p):
         raise InternalInvariantViolation("bundle census mismatch")
     if fundamental != bizley_count(p, q):
         raise InternalInvariantViolation("fundamental census mismatch")
 
-    verdicts = _Verdicts()
-    probes: Dict[Tuple[int, int], List[Tuple[int, ...]]] = {}
     sheaf_classes = 0
     for family in _families(s):
-        family.check_anchoring(verdicts, family.validate(verdicts), probes)
+        family.check_anchoring(verdicts, family.validate(verdicts))
         sheaf_classes += family.size()
     if sheaf_classes != sheaf_class_formula(p, q):
         raise InternalInvariantViolation("sheaf census mismatch")

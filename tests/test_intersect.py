@@ -16,7 +16,7 @@ from wplarcs.core import (
     normal_form,
     phi,
 )
-from wplarcs.errors import OutOfScope
+from wplarcs.errors import OutOfScope, SurfaceMismatch
 from wplarcs.homext import classify_nonzero, ext1_dim, hom_dim
 from wplarcs.intersect import (
     endpoint_relation,
@@ -47,6 +47,32 @@ class TestPositiveInt:
     def test_loops_rejected(self):
         with pytest.raises(OutOfScope):
             positive_int(Loop(S23, 1, "t"), Bridging(S23, 0, 0))
+
+    @pytest.mark.parametrize("other", [S23, Surface(3, 4)], ids=str)
+    def test_loop_second_rejected(self, other):
+        # Before the surfaces are compared.
+        for arc in window_arcs(other, turns=1):
+            with pytest.raises(OutOfScope):
+                positive_int(arc, Loop(S23, 1, "t"))
+
+    def test_mixed_surfaces_rejected(self):
+        s34 = Surface(3, 4)
+        for c1 in window_arcs(S23, turns=1):
+            for c2 in window_arcs(s34, turns=1):
+                for pair in [(c1, c2), (c2, c1)]:
+                    with pytest.raises(SurfaceMismatch):
+                        positive_int(*pair)
+
+    def test_equal_surfaces_accepted(self):
+        # A curve on an equal but distinct Surface is on the same surface.
+        twin = Surface(2, 3)
+        assert twin == S23 and twin is not S23
+        arcs = window_arcs(S23, turns=1)
+        twins = window_arcs(twin, turns=1)
+        assert all(t.surface is twin for t in twins)
+        for c1, t1 in zip(arcs, twins):
+            for c2, t2 in zip(arcs, twins):
+                assert positive_int(c1, t2) == positive_int(t1, c2) == positive_int(c1, c2)
 
     @pytest.mark.parametrize("s", SMALL_SURFACES, ids=str)
     def test_shift_invariance(self, s):

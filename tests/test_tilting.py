@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import random
@@ -376,6 +377,14 @@ class TestCensus:
         assert tilting.lattice_path_counts(14, 14) == (40_116_600, 2_674_440)
         assert bizley_count(14, 14) == 2_674_440
 
+    @pytest.mark.parametrize("p,q", [(-5, 3), (0, 3), (3, 0), (0, 0), (2, -1)])
+    def test_path_counts_refuse_non_surfaces(self, monkeypatch, p, q):
+        # Refused before any work: a patched counter would raise if reached.
+        monkeypatch.setattr(tilting, "math", None)
+        for count in (tilting.lattice_path_counts, bizley_count):
+            with pytest.raises(InvalidArguments, match="weights"):
+                count(p, q)
+
     def test_cli_classes_guarded(self, capsys):
         code = main(["--p", "6", "--q", "6", "tilting", "classes"])
         captured = capsys.readouterr()
@@ -449,7 +458,7 @@ class TestCensusByFamilies:
             verdicts = tilting._Verdicts()
             places = shifted.validate(verdicts)
             with pytest.raises(InternalInvariantViolation, match="anchoring shift"):
-                shifted.check_anchoring(verdicts, places, {})
+                shifted.check_anchoring(verdicts, places)
 
     def test_pattern_of_another_family_refused(self, monkeypatch):
         # B(0, 0) and B(0, 2) are both anchors of the plain family (0, 2),
@@ -537,23 +546,25 @@ class TestFamilyValidation:
         literal = [t.arcs for t in enumerate_anchored_literal(s)]
         assert [t.arcs for t in enumerate_anchored_triangulations(s)] == literal
 
-    @pytest.mark.parametrize(
-        "p,q,most", [(3, 3, 1_000), (4, 4, 2_500), (10, 10, 60_000)]
-    )
+    @pytest.mark.parametrize("p,q,most", [(3, 3, 396), (4, 4, 1_264), (10, 10, 49_900)])
     def test_crossing_tests_per_census(self, monkeypatch, p, q, most):
         # Checking every member and every path costs 6,600 calls at (3, 3)
-        # and 141,120 at (4, 4).  Validating each family once costs 534,
-        # 1,616 and 58,130.
-        calls = [0]
+        # and 141,120 at (4, 4).  Validating each family once, with the
+        # staircases in a table of their own, cost 534, 1,616 and 58,130.
+        # One table for the census tests each distinct pair once, in both
+        # orders as no pair crosses: 2 x 198, 2 x 632 and 2 x 24,950 calls.
+        calls = collections.Counter()
         real = tilting.positive_int
 
         def counting(x, y):
-            calls[0] += 1
+            calls[x, y] += 1
             return real(x, y)
 
         monkeypatch.setattr(tilting, "positive_int", counting)
         census(p, q)
-        assert 0 < calls[0] <= most
+        assert set(calls.values()) == {1}
+        assert all(calls[y, x] for x, y in calls)
+        assert 0 < sum(calls.values()) <= most
 
     @pytest.mark.parametrize(
         "x,y,check",
@@ -573,6 +584,25 @@ class TestFamilyValidation:
         # Each pair is tested first by the named check.
         crossing_reported_for(monkeypatch, x, y)
         with pytest.raises(InternalInvariantViolation, match=check):
+            census(2, 3)
+
+    @pytest.mark.parametrize(
+        "rejected",
+        [
+            # A chord of five families, never an anchor or a staircase arc.
+            OuterPeripheral(S23, 1, 3),
+            # An anchor of the plain family (-2, 1) alone, never a chord or
+            # a staircase arc.
+            OuterPeripheral(S23, 1, 4),
+        ],
+        ids=repr,
+    )
+    def test_arc_test_is_live(self, monkeypatch, rejected):
+        # The arc test runs once per join or anchor set of the census, and
+        # still sees every arc that some family holds.
+        real = tilting.is_arc
+        monkeypatch.setattr(tilting, "is_arc", lambda c: c != rejected and real(c))
+        with pytest.raises(InternalInvariantViolation, match="is not an arc"):
             census(2, 3)
 
     def test_inside_outside_check_is_live(self, monkeypatch):
@@ -600,7 +630,7 @@ class TestFamilyValidation:
             lambda s, i, j: real(s, 0, 0) if (i, j) == (1, 1) else real(s, i, j),
         )
         with pytest.raises(InternalInvariantViolation, match="one staircase arc"):
-            tilting._check_staircases(S23)
+            tilting._check_staircases(S23, tilting._Verdicts())
 
     def test_duplicate_member_rejected(self, monkeypatch):
         real = tilting._polygon_triangulations
