@@ -619,21 +619,38 @@ def phi_ext(curve: Curve) -> SheafClass:
     return phi(curve)
 
 
+# The one home of the sheaf-to-curve formula: each sheaf type of the
+# exceptional part -> its curve's lift, as (curve class, x, y).
+_LIFTS = {
+    LineBundle: lambda X: (Bridging, X.x.l1, -(X.x.l2 + X.x.l * X.surface.q)),
+    TorsionInf: lambda X: (InnerPeripheral, X.i - X.j - 1, X.i),
+    TorsionZero: lambda X: (OuterPeripheral, -X.i, -X.i + X.j + 1),
+}
+
+
 def phi_inv(sheaf: SheafClass) -> Curve:
     """Canonical curve representative of an indecomposable class."""
-    s = sheaf.surface
-    if isinstance(sheaf, LineBundle):
-        x = sheaf.x
-        return Bridging(s, x.l1, -(x.l2 + x.l * s.q))
-    if isinstance(sheaf, TorsionInf):
-        return InnerPeripheral(s, sheaf.i - sheaf.j - 1, sheaf.i)
-    if isinstance(sheaf, TorsionZero):
-        return OuterPeripheral(s, -sheaf.i, -sheaf.i + sheaf.j + 1)
-    if isinstance(sheaf, TorsionOrdinary):
-        return Loop(s, sheaf.n, sheaf.param)
-    if isinstance(sheaf, Zero):
-        raise OutOfScope("the zero class has no canonical curve")
-    raise TypeError(f"not a sheaf class: {sheaf!r}")
+    rule = _LIFTS.get(type(sheaf))
+    if rule is None:  # a subclass of a key, or a class with no lift
+        rule = next((r for kind, r in _LIFTS.items() if isinstance(sheaf, kind)), None)
+        if rule is None:
+            if isinstance(sheaf, TorsionOrdinary):
+                return Loop(sheaf.surface, sheaf.n, sheaf.param)
+            if isinstance(sheaf, Zero):
+                raise OutOfScope("the zero class has no canonical curve")
+            raise TypeError(f"not a sheaf class: {sheaf!r}")
+    cls, x, y = rule(sheaf)
+    return cls(sheaf.surface, x, y)
+
+
+def phi_inv_se_shifted(sheaf: SheafClass) -> Curve:
+    """`phi_inv(sheaf).se_shifted(1)` in one construction: the lift takes the
+    curve class's se-shift steps before the curve is built."""
+    rule = _LIFTS.get(type(sheaf))
+    if rule is None:
+        return phi_inv(sheaf).se_shifted(1)
+    cls, x, y = rule(sheaf)
+    return cls(sheaf.surface, x + cls._x_step, y + cls._y_step)
 
 
 # ---------------------------------------------------------------------------

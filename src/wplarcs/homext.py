@@ -2,9 +2,12 @@
 
 Extension dimensions are positive intersection numbers of the associated
 curves; morphism dimensions come from the Serre-dual intersection, the
-same count the exceptional-pair test reads.  A purely algebraic oracle
-based on the graded-ring component dimensions and uniserial tube
-combinatorics cross-validates every geometric count in the tests.
+same count the exceptional-pair test reads.  Each entry point checks its
+inputs once and builds one curve per sheaf (`phi_inv`), or the Serre-dual
+curve in one construction (`phi_inv_se_shifted`), and counts every Hom and
+Ext it needs from those curves.  A purely algebraic oracle based on the
+graded-ring component dimensions and uniserial tube combinatorics
+cross-validates every geometric count in the tests.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from .core import (
     TorsionOrdinary,
     TorsionZero,
     Zero,
+    _LIFTS,
     _check_same_surface,
     _coeff_x1,
     _coeff_x2,
@@ -32,6 +36,7 @@ from .core import (
     is_arc,
     phi_ext,
     phi_inv,
+    phi_inv_se_shifted,
     sheaf_class_vector,
 )
 from .errors import (
@@ -59,23 +64,33 @@ class MapClass(_Value):
         _set(self, "same_object", same_object)
 
 
-def _require_in_scope(*sheaves: SheafClass) -> Surface:
-    for X in sheaves:
-        if isinstance(X, (TorsionOrdinary, Zero)):
-            raise OutOfScope(f"{X!r} is outside the exceptional part")
-    return _check_same_surface(*sheaves)
+_NONE, _MONO, _SELF = MapClass(NO_MAP), MapClass(MONO), MapClass(MONO, True)
+_EPI, _MIXED = MapClass(EPI), MapClass(MIXED)
+
+
+def _in_scope(X: SheafClass, Y: SheafClass) -> Surface:
+    """The entry points' one input check: X and Y in the exceptional part, on
+    one surface (returned); types `_LIFTS` does not key take the full test."""
+    if type(X) not in _LIFTS or type(Y) not in _LIFTS:
+        for Z in (X, Y):
+            if isinstance(Z, (TorsionOrdinary, Zero)):
+                raise OutOfScope(f"{Z!r} is outside the exceptional part")
+    s = X.surface
+    if Y.surface is not s:
+        _check_same_surface(X, Y)
+    return s
 
 
 def ext1_dim(X: SheafClass, Y: SheafClass) -> int:
     """dim Ext^1(X, Y) as the positive intersection of the associated curves."""
-    _require_in_scope(X, Y)
+    _in_scope(X, Y)
     return positive_int(phi_inv(X), phi_inv(Y))
 
 
 def hom_dim(X: SheafClass, Y: SheafClass) -> int:
     """dim Hom(X, Y) = Int+(phi^-1(Y) se-shifted once, phi^-1(X)) by Serre duality."""
-    _require_in_scope(X, Y)
-    return positive_int(phi_inv(Y).se_shifted(1), phi_inv(X))
+    _in_scope(X, Y)
+    return positive_int(phi_inv_se_shifted(Y), phi_inv(X))
 
 
 def _tube_hom_count(top_x: int, len_x: int, top_y: int, len_y: int, rank: int) -> int:
@@ -100,7 +115,7 @@ def hom_dim_oracle(X: SheafClass, Y: SheafClass) -> int:
     Defined for line-bundle pairs, same-tube pairs, line bundle to torsion
     and torsion to line bundle; raises NotApplicable otherwise.
     """
-    s = _require_in_scope(X, Y)
+    s = _in_scope(X, Y)
     if isinstance(X, LineBundle) and isinstance(Y, LineBundle):
         return dim_S(Y.x - X.x)
     if isinstance(X, (TorsionInf, TorsionZero)) and isinstance(Y, LineBundle):
@@ -127,27 +142,32 @@ def is_exceptional(X: SheafClass) -> bool:
 
 def classify_nonzero(X: SheafClass, Y: SheafClass) -> MapClass:
     """Classify the nonzero morphisms X -> Y (mono, epi, mixed, or none)."""
-    _require_in_scope(X, Y)
-    if hom_dim(X, Y) == 0:
-        return MapClass(NO_MAP)
+    _in_scope(X, Y)
+    return _classify(X, Y, phi_inv(X), phi_inv(Y))
+
+
+def _classify(X: SheafClass, Y: SheafClass, gX, gY) -> MapClass:
+    """`classify_nonzero` with the curves gX = phi_inv(X) and gY = phi_inv(Y)."""
+    if not positive_int(gY.se_shifted(1), gX):
+        return _NONE
     if isinstance(X, LineBundle) and isinstance(Y, LineBundle):
         # Nonzero maps of line bundles are injective regardless of
         # extensions in the opposite direction.
-        return MapClass(MONO, same_object=X == Y)
-    if ext1_dim(Y, X) > 0:
-        return MapClass(MIXED)
+        return _SELF if X == Y else _MONO
+    if positive_int(gY, gX):
+        return _MIXED
     if isinstance(X, LineBundle):
-        return MapClass(EPI)
+        return _EPI
     if X == Y:
-        return MapClass(MONO, same_object=True)
+        return _SELF
     # Same tube: a top shift matching the length difference is a mono,
     # a preserved top with a drop in length is an epi.
     rank = X.surface.p if isinstance(X, TorsionInf) else X.surface.q
     dlen = Y.j - X.j
     if dlen > 0 and (Y.i - X.i) % rank == dlen % rank:
-        return MapClass(MONO)
+        return _MONO
     if dlen < 0 and Y.i == X.i:
-        return MapClass(EPI)
+        return _EPI
     raise InternalInvariantViolation(
         f"unclassifiable nonzero morphism ({X!r}, {Y!r})"
     )
@@ -171,12 +191,10 @@ def cokernel_of_mono(X: SheafClass, Y: SheafClass) -> Tuple[SheafClass, SheafCla
     starts second.  Requires the crossing-uniqueness hypothesis, which in
     particular excludes two-dimensional Hom spaces.
     """
-    s = _require_in_scope(X, Y)
-    cls = classify_nonzero(X, Y)
-    if cls.tag != MONO or cls.same_object:
+    s = _in_scope(X, Y)
+    g1, g2 = phi_inv(X), phi_inv(Y)
+    if _classify(X, Y, g1, g2) is not _MONO:
         raise NotApplicable("cokernels are computed for proper monos only")
-    g1 = phi_inv(X)
-    g2 = phi_inv(Y)
     g1m = g1.se_shifted(-1)
     k = _unique_crossing_offset(g2, g1m)
     g1m = g1m.translated(k)
@@ -192,12 +210,10 @@ def kernel_of_epi(X: SheafClass, Y: SheafClass) -> Tuple[SheafClass, SheafClass]
     bundle, reported first; for a same-tube epi it is the socle part,
     reported second.
     """
-    s = _require_in_scope(X, Y)
-    cls = classify_nonzero(X, Y)
-    if cls.tag != EPI:
+    s = _in_scope(X, Y)
+    g1, g2 = phi_inv(X), phi_inv(Y)
+    if _classify(X, Y, g1, g2) is not _EPI:
         raise NotApplicable("kernels are computed for proper epis only")
-    g1 = phi_inv(X)
-    g2 = phi_inv(Y)
     g2m = g2.se_shifted(1)
     k = _unique_crossing_offset(g2m, g1)
     g1 = g1.translated(k)
@@ -219,13 +235,12 @@ def epi_mono_factor(X: SheafClass, Y: SheafClass) -> SheafClass:
     associated curves must cross exactly once in the admissible position;
     the result Z satisfies X ->> Z >-> Y.
     """
-    s = _require_in_scope(X, Y)
+    s = _in_scope(X, Y)
     if not isinstance(Y, (TorsionInf, TorsionZero)):
         raise NotApplicable("the factorization target must be tube torsion")
-    if hom_dim(X, Y) < 1:
+    g1, g2 = phi_inv(X), phi_inv(Y)
+    if not positive_int(g2.se_shifted(1), g1):
         raise NotApplicable("no nonzero morphism to factor")
-    g1 = phi_inv(X)
-    g2 = phi_inv(Y)
     k = _unique_crossing_offset(g2, g1)
     g1k = g1.translated(k)
     if isinstance(Y, TorsionInf):
@@ -244,9 +259,10 @@ def epi_mono_factor(X: SheafClass, Y: SheafClass) -> SheafClass:
         if length < 1:
             raise NotApplicable("the crossing carries no morphism")
         Z = TorsionZero(s, -start1, length)
-    if classify_nonzero(X, Z).tag != EPI:
+    gZ = phi_inv(Z)
+    if _classify(X, Z, g1, gZ) is not _EPI:
         raise InternalInvariantViolation("factor is not an epi image")
-    if classify_nonzero(Z, Y).tag != MONO:
+    if _classify(Z, Y, gZ, g2).tag != MONO:
         raise InternalInvariantViolation("factor does not embed in the target")
     return Z
 

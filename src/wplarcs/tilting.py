@@ -278,13 +278,13 @@ def path_to_tilting(surface: Surface, path: LatticePath) -> Triangulation:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
 def _anchor_patterns(s: Surface, a: int) -> Tuple[Tuple[Curve, ...], ...]:
     """The arc sets that, beside B(0, a), make a triangulation anchored.
 
     Plain (a, b), a in (-q, 0]: B(0, b) and the outer cap OP(a, b), with
     b in [1, a + q].  Primed (a, b), a in (-p, 0]: B(b, a) and the inner cap
     IP(0, b), with b in [1 - a, p].  The pair (0, 1) needs no cap.
+    A census builds its own, on its own surface (`_Verdicts.anchoring`).
     """
     patterns = []
     if a == 0:
@@ -294,6 +294,11 @@ def _anchor_patterns(s: Surface, a: int) -> Tuple[Tuple[Curve, ...], ...]:
     for b in range(1 - a if a else 2, s.p + 1):
         patterns.append((Bridging(s, b, a), InnerPeripheral(s, 0, b)))
     return tuple(patterns)
+
+
+# `se_canonical`'s patterns, kept for the process: its probes are only
+# looked up, so a pattern built on an equal surface serves.
+_se_anchor_patterns = lru_cache(maxsize=None)(_anchor_patterns)
 
 
 def _anchor_candidate(arc: Bridging) -> Optional[Tuple[int, int]]:
@@ -335,7 +340,7 @@ def se_canonical(t: Triangulation) -> Triangulation:
         if any(
             all(probe.se_shifted(-k) in arcs for probe in pattern)
             for a in anchors
-            for pattern in _anchor_patterns(s, a)
+            for pattern in _se_anchor_patterns(s, a)
         )
     ]
     if not anchored:
@@ -357,7 +362,8 @@ class _Verdicts:
 
     Arcs get small int ids when first seen, and every family of the call
     shares the facts kept under them: the arc of a lift-point join, built
-    and arc-tested once; an arc's anchoring probes; a pair's verdict.
+    and arc-tested once; an arc's anchoring probes, from anchor patterns
+    built once per call on its own surface; a pair's verdict.
     """
 
     def __init__(self) -> None:
@@ -365,6 +371,7 @@ class _Verdicts:
         self._ids: Dict[Curve, int] = {}
         self._joins: Dict[tuple, int] = {}
         self._anchoring: Dict[int, Tuple[int, List[Tuple[int, ...]]]] = {}
+        self._patterns: Dict[int, Tuple[Tuple[Curve, ...], ...]] = {}
         self._crossing: Dict[Tuple[int, int], bool] = {}
 
     def arc_id(self, arc: Curve) -> int:
@@ -397,9 +404,12 @@ class _Verdicts:
             candidate = _anchor_candidate(arc) if isinstance(arc, Bridging) else None
             if candidate is not None:
                 k, a = candidate
+                patterns = self._patterns.get(a)
+                if patterns is None:
+                    patterns = self._patterns[a] = _anchor_patterns(s, a)
                 found = k, [
                     tuple(self.arc_id(probe.se_shifted(-k)) for probe in pattern)
-                    for pattern in _anchor_patterns(s, a)
+                    for pattern in patterns
                 ]
             self._anchoring[x] = found
         return found
@@ -770,9 +780,11 @@ def census(p: int, q: int) -> Dict[str, int]:
     family is validated (`_Family.validate`) and its members are shown to
     be their own `se_canonical` forms in no other family
     (`_Family.check_anchoring`), once per family.  Each count is asserted
-    equal to its closed form.  Surfaces with p + q > MAX_CENSUS_RANK are
-    refused before any work.
+    equal to its closed form.  Weights below 1, and surfaces with
+    p + q > MAX_CENSUS_RANK, are refused before any work.
     """
+    if p < 1 or q < 1:
+        raise InvalidArguments("census needs weights p, q >= 1")
     if p + q > MAX_CENSUS_RANK:
         raise InvalidArguments(f"census is guarded to p + q <= {MAX_CENSUS_RANK}")
     s = Surface(p, q)

@@ -1,13 +1,17 @@
+import random
+
 import pytest
 
 from wplarcs import homext
 from wplarcs.core import (
     Bridging,
     InnerPeripheral,
+    LineBundle,
     Surface,
     TorsionInf,
     TorsionOrdinary,
     TorsionZero,
+    Zero,
     canonical,
     dim_S,
     dualizing,
@@ -15,13 +19,14 @@ from wplarcs.core import (
     normal_form,
     phi,
     phi_inv,
+    phi_inv_se_shifted,
     structure_sheaf,
     tau,
     x1,
     x2,
     zero,
 )
-from wplarcs.errors import NotApplicable, OutOfScope
+from wplarcs.errors import NotApplicable, OutOfScope, SurfaceMismatch
 from wplarcs.homext import (
     EPI,
     MIXED,
@@ -41,6 +46,15 @@ from wplarcs.homext import (
 from wplarcs.intersect import positive_int
 
 from conftest import ACCEPT_SURFACES, SMALL_SURFACES, window_arcs, window_curves
+from homext_literal import (
+    classify_literal,
+    cokernel_literal,
+    ext1_dim_literal,
+    factor_literal,
+    hom_dim_literal,
+    kernel_literal,
+    phi_inv_literal,
+)
 from tube_literal import tube_hom_count_literal
 
 S23 = Surface(2, 3)
@@ -286,3 +300,177 @@ class TestFactorization:
                 checked += 1
         if s.rank > 2:
             assert checked > 0
+
+
+# Each entry point beside its reference in `homext_literal`.
+ROUTES = (
+    (hom_dim, hom_dim_literal),
+    (ext1_dim, ext1_dim_literal),
+    (classify_nonzero, classify_literal),
+    (cokernel_of_mono, cokernel_literal),
+    (kernel_of_epi, kernel_literal),
+    (epi_mono_factor, factor_literal),
+)
+DEEP_SURFACES = [Surface(1, 1), S23, Surface(3, 4), Surface(5, 6)]
+
+
+def outcome(f, X, Y):
+    """f(X, Y), or the class and message of what it raised."""
+    try:
+        return f(X, Y)
+    except Exception as exc:  # compared, not swallowed
+        return type(exc), str(exc)
+
+
+def assert_routes_agree(X, Y):
+    for new, old in ROUTES:
+        assert outcome(new, X, Y) == outcome(old, X, Y), (new.__name__, X, Y)
+
+
+def deep_pool(rng, s):
+    """Two line bundles near degree +-1e18 and two classes of each tube, with
+    gaps and lengths log-uniform on [1, 1e4] and some small ones."""
+    size = lambda: rng.choice((1, 2, round(10 ** rng.uniform(0, 4))))
+    base = rng.choice((-1, 1)) * 10**18 + rng.randint(-9, 9)
+    A = line_bundle(s, normal_form(rng.randrange(s.p), rng.randrange(s.q), base, s))
+    gap = rng.choice((0, 1, -1)) * size()
+    B = line_bundle(s, A.x + normal_form(rng.randrange(s.p), rng.randrange(s.q), gap, s))
+    tubes = [
+        kind(s, rng.randrange(rank), size())
+        for kind, rank in ((TorsionInf, s.p), (TorsionZero, s.q))
+        for _ in range(2)
+    ]
+    return [A, B] + tubes
+
+
+class ShiftedBundle(LineBundle):
+    """A subclass, which the entry points' type look-up does not know."""
+
+    __slots__ = ()
+
+
+class TestLiteralRoutes:
+    """Each entry point checks its inputs once and builds one curve per
+    sheaf; the references re-check and rebuild, as the entry points once did."""
+
+    @pytest.mark.parametrize("s", DEEP_SURFACES, ids=str)
+    def test_deep_pairs_agree(self, s):
+        rng = random.Random(s.p * 100 + s.q)
+        for _ in range(12):
+            pool = deep_pool(rng, s)
+            for X in pool:
+                for Y in pool:
+                    assert_routes_agree(X, Y)
+
+    @pytest.mark.parametrize("s", [Surface(1, 1), S23, Surface(3, 4)], ids=str)
+    def test_window_pairs_agree(self, s):
+        sheaves = sheaf_window(s, turns=1)
+        for X in sheaves:
+            for Y in sheaves:
+                assert_routes_agree(X, Y)
+
+    def test_deep_kernels_and_cokernels_reached(self):
+        # The references agree on real results at degree 1e18, not only on
+        # NotApplicable.
+        s = Surface(5, 6)
+        X = line_bundle(s, normal_form(0, 0, 10**18, s))
+        Y = line_bundle(s, X.x + x1(s) + x2(s))
+        assert cokernel_of_mono(X, Y) == cokernel_literal(X, Y)
+        assert cokernel_of_mono(X, Y)[1] == TorsionZero(s, 1, 1)
+        T = TorsionZero(s, 0, 1)
+        assert kernel_of_epi(X, T) == kernel_literal(X, T)
+        T = TorsionInf(s, 3, 2)
+        Xt = line_bundle(s, normal_form(2, 0, 10**18, s))
+        assert epi_mono_factor(Xt, T) == factor_literal(Xt, T) == TorsionInf(s, 2, 1)
+
+    @pytest.mark.parametrize(
+        "bad", [TorsionOrdinary(S23, "t", 2), Zero(S23)], ids=["ordinary", "zero"]
+    )
+    def test_out_of_scope_either_place(self, bad):
+        other = TorsionZero(Surface(3, 4), 1, 2)  # also on another surface
+        for X, Y in ((bad, O), (O, bad), (bad, other), (other, bad), (bad, bad)):
+            for new, old in ROUTES:
+                got = outcome(new, X, Y)
+                assert got == outcome(old, X, Y)
+                assert got[0] is OutOfScope, (new.__name__, X, Y)
+
+    def test_mixed_surfaces(self):
+        other = line_bundle(Surface(3, 2))
+        for X, Y in ((O, other), (other, O), (TorsionInf(S23, 0, 1), other)):
+            for new, old in ROUTES:
+                got = outcome(new, X, Y)
+                assert got == outcome(old, X, Y)
+                assert got[0] is SurfaceMismatch
+
+    def test_equal_surfaces_of_two_instances(self):
+        X = line_bundle(Surface(2, 3))
+        Y = line_bundle(Surface(2, 3), canonical(Surface(2, 3)))
+        assert X.surface is not Y.surface
+        assert_routes_agree(X, Y)
+        assert hom_dim(X, Y) == 2
+
+    def test_non_sheaves_raise_as_before(self):
+        curve = Bridging(S23, 0, 0)
+        for X, Y in ((curve, O), (O, curve), (curve, curve), (3, O), (O, 3)):
+            for new, old in ROUTES:
+                got = outcome(new, X, Y)
+                assert got == outcome(old, X, Y)
+                # epi_mono_factor refuses a target that is not tube torsion
+                # before it builds a curve.
+                assert got[0] in (TypeError, AttributeError, NotApplicable), (X, Y)
+
+    def test_subclass_takes_the_full_check(self):
+        X = ShiftedBundle(S23, x1(S23))
+        for Y in (O, line_bundle(S23, canonical(S23)), TorsionInf(S23, 1, 1)):
+            assert_routes_agree(X, Y)
+            assert_routes_agree(Y, X)
+        assert outcome(hom_dim, X, TorsionOrdinary(S23, "t", 1))[0] is OutOfScope
+
+    def test_phi_inv_matches_literal(self):
+        for s in DEEP_SURFACES:
+            rng = random.Random(s.q)
+            sheaves = deep_pool(rng, s) + [TorsionOrdinary(s, "t", 3)]
+            for X in sheaves + [ShiftedBundle(s, sheaves[0].x)]:
+                assert phi_inv(X) == phi_inv_literal(X)
+                if not isinstance(X, TorsionOrdinary):
+                    assert phi_inv_se_shifted(X) == phi_inv(X).se_shifted(1)
+        for bad in (Zero(S23), Bridging(S23, 0, 0)):
+            assert outcome(lambda X, _: phi_inv(X), bad, None) == outcome(
+                lambda X, _: phi_inv_literal(X), bad, None
+            )
+        # Ordinary torsion has a loop, which has no se-shift.
+        T = TorsionOrdinary(S23, "t", 1)
+        assert outcome(lambda X, _: phi_inv_se_shifted(X), T, None) == outcome(
+            lambda X, _: phi_inv_literal(X).se_shifted(1), T, None
+        )
+
+    def test_one_check_and_one_curve_per_sheaf(self, monkeypatch):
+        calls = []
+
+        def counting(name, fn):
+            def wrapper(*args):
+                calls.append(name)
+                return fn(*args)
+
+            monkeypatch.setattr(homext, name, wrapper)
+
+        for name in ("_in_scope", "phi_inv", "phi_inv_se_shifted"):
+            counting(name, getattr(homext, name))
+        X, Y = O, line_bundle(S23, x1(S23))
+        expected = {
+            hom_dim: ["_in_scope", "phi_inv_se_shifted", "phi_inv"],
+            ext1_dim: ["_in_scope", "phi_inv", "phi_inv"],
+            classify_nonzero: ["_in_scope", "phi_inv", "phi_inv"],
+            cokernel_of_mono: ["_in_scope", "phi_inv", "phi_inv"],
+        }
+        for f, names in expected.items():
+            calls.clear()
+            f(X, Y)
+            assert calls == names, f.__name__
+        calls.clear()
+        kernel_of_epi(O, TorsionZero(S23, 0, 1))
+        assert calls == ["_in_scope", "phi_inv", "phi_inv"]
+        calls.clear()
+        epi_mono_factor(line_bundle(S23, 2 * x1(S23)), TorsionInf(S23, 3, 2))
+        # The factor's own curve, for the two self-checks.
+        assert calls == ["_in_scope", "phi_inv", "phi_inv", "phi_inv"]

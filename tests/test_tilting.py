@@ -18,7 +18,13 @@ from wplarcs.core import (
 from wplarcs.braid import canonical_theta
 from wplarcs import tilting
 from wplarcs.cli import main
-from wplarcs.errors import InternalInvariantViolation, InvalidArguments, NotApplicable
+from wplarcs import intersect
+from wplarcs.errors import (
+    InternalInvariantViolation,
+    InvalidArguments,
+    NotApplicable,
+    WplArcsError,
+)
 from wplarcs.tilting import (
     MAX_SHEAF_CLASSES,
     LatticePath,
@@ -385,6 +391,19 @@ class TestCensus:
             with pytest.raises(InvalidArguments, match="weights"):
                 count(p, q)
 
+    @pytest.mark.parametrize("p,q", [(0, 3), (-5, 3), (3, 0)])
+    def test_census_refuses_non_surfaces(self, monkeypatch, p, q):
+        # Refused as the package's own error, before any work: a patched
+        # Surface would raise if reached.
+        monkeypatch.setattr(tilting, "Surface", None)
+        with pytest.raises(InvalidArguments, match="weights") as refused:
+            census(p, q)
+        assert isinstance(refused.value, WplArcsError)
+
+    def test_census_cli_refuses_non_surfaces(self, capsys):
+        assert main(["--p", "0", "--q", "3", "--json", "census"]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_cli_classes_guarded(self, capsys):
         code = main(["--p", "6", "--q", "6", "tilting", "classes"])
         captured = capsys.readouterr()
@@ -565,6 +584,28 @@ class TestFamilyValidation:
         assert set(calls.values()) == {1}
         assert all(calls[y, x] for x, y in calls)
         assert 0 < sum(calls.values()) <= most
+
+    def test_censuses_on_equal_surfaces_share_no_arc(self, monkeypatch):
+        # Each census builds its own Surface; its anchoring probes are built
+        # on that surface too, so every crossing test takes the identity
+        # path of `_crossing_offsets` and none falls back to the full
+        # surface comparison.
+        made, fallbacks = [], []
+        real_surface, real_check = tilting.Surface, intersect._check_same_surface
+
+        def surface(p, q):
+            made.append(real_surface(p, q))
+            return made[-1]
+
+        def check(*values):
+            fallbacks.append(values)
+            return real_check(*values)
+
+        monkeypatch.setattr(tilting, "Surface", surface)
+        monkeypatch.setattr(intersect, "_check_same_surface", check)
+        assert census(3, 3) == census(3, 3)
+        assert len(made) == 2 and made[0] == made[1] and made[0] is not made[1]
+        assert fallbacks == []
 
     @pytest.mark.parametrize(
         "x,y,check",
