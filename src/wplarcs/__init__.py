@@ -28,7 +28,7 @@ _HOMES = {
     ),
     "intersect": (
         "CrossingWitness", "EndpointRelation", "endpoint_relation",
-        "exceptional_intersection", "positive_crossings", "positive_int",
+        "exceptional_intersection", "positive_int",
     ),
     "homext": (
         "MapClass", "classify_nonzero", "cokernel_of_mono", "epi_mono_factor",

@@ -643,16 +643,6 @@ def phi_inv(sheaf: SheafClass) -> Curve:
     return cls(sheaf.surface, x, y)
 
 
-def phi_inv_se_shifted(sheaf: SheafClass) -> Curve:
-    """`phi_inv(sheaf).se_shifted(1)` in one construction: the lift takes the
-    curve class's se-shift steps before the curve is built."""
-    rule = _LIFTS.get(type(sheaf))
-    if rule is None:
-        return phi_inv(sheaf).se_shifted(1)
-    cls, x, y = rule(sheaf)
-    return cls(sheaf.surface, x + cls._x_step, y + cls._y_step)
-
-
 # ---------------------------------------------------------------------------
 # Elementary moves.
 # ---------------------------------------------------------------------------
@@ -741,16 +731,3 @@ def ar_sequence(sheaf: SheafClass):
             middle.append(summand)
     return sheaf, middle, tau_inv(sheaf)
 
-
-def sheaf_class_vector(sheaf: SheafClass):
-    """(rank, determinant) class used for exactness bookkeeping."""
-    s = sheaf.surface
-    if isinstance(sheaf, LineBundle):
-        return (1, sheaf.x)
-    if isinstance(sheaf, TorsionInf):
-        return (0, sheaf.j * x1(s))
-    if isinstance(sheaf, TorsionZero):
-        return (0, sheaf.j * x2(s))
-    if isinstance(sheaf, Zero):
-        return (0, zero(s))
-    raise OutOfScope("ordinary torsion carries no exceptional class vector")

@@ -41,6 +41,7 @@ from .errors import (
     OutOfScope,
 )
 from .intersect import (
+    _shifted_count,
     endpoint_relation,
     exceptional_intersection,
     positive_int,
@@ -89,7 +90,7 @@ def _pair_verdict(alpha: Curve, beta: Curve) -> bool:
     """(E, F) = (phi(alpha), phi(beta)) is an exceptional pair: the counts
     are Ext^1(F, E) and, through the se-shift (Serre duality), Hom(F, E)."""
     return alpha.is_arc() and beta.is_arc() and (
-        positive_int(beta, alpha) == 0 == positive_int(alpha.se_shifted(1), beta)
+        positive_int(beta, alpha) == 0 == _shifted_count(alpha, beta)
     )
 
 

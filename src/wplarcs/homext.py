@@ -3,11 +3,11 @@
 Extension dimensions are positive intersection numbers of the associated
 curves; morphism dimensions come from the Serre-dual intersection, the
 same count the exceptional-pair test reads.  Each entry point checks its
-inputs once and builds one curve per sheaf (`phi_inv`), or the Serre-dual
-curve in one construction (`phi_inv_se_shifted`), and counts every Hom and
-Ext it needs from those curves.  A purely algebraic oracle based on the
-graded-ring component dimensions and uniserial tube combinatorics
-cross-validates every geometric count in the tests.
+inputs once and reads each sheaf's lift from `core._LIFTS`; Hom and Ext
+are counted on the lifts (`intersect._COUNT_RULES`) with no curve built,
+and only the kernel, cokernel and factor build curves, for connectors.
+A purely algebraic oracle based on the graded-ring component dimensions
+and uniserial tube combinatorics cross-validates every geometric count.
 """
 
 from __future__ import annotations
@@ -36,15 +36,9 @@ from .core import (
     is_arc,
     phi_ext,
     phi_inv,
-    phi_inv_se_shifted,
-    sheaf_class_vector,
 )
-from .errors import (
-    InternalInvariantViolation,
-    NotApplicable,
-    OutOfScope,
-)
-from .intersect import _crossing_offsets, positive_int
+from .errors import InternalInvariantViolation, NotApplicable, OutOfScope
+from .intersect import _COUNT_RULES, _crossing_offsets, positive_int
 
 MONO = "mono"
 EPI = "epi"
@@ -81,16 +75,34 @@ def _in_scope(X: SheafClass, Y: SheafClass) -> Surface:
     return s
 
 
+def _sheaf_lift(X: SheafClass):
+    """X's lift (curve class, x, y): from `_LIFTS`, or read off `phi_inv(X)`
+    for a type it does not key."""
+    rule = _LIFTS.get(type(X))
+    if rule is not None:
+        return rule(X)
+    g = phi_inv(X)
+    return (type(g), *g._indices(g))
+
+
+# The curve of a lift, for the entry points that need connectors.
+_curve = lambda s, lift: lift[0](s, lift[1], lift[2])
+
+
 def ext1_dim(X: SheafClass, Y: SheafClass) -> int:
     """dim Ext^1(X, Y) as the positive intersection of the associated curves."""
-    _in_scope(X, Y)
-    return positive_int(phi_inv(X), phi_inv(Y))
+    s = _in_scope(X, Y)
+    k1, x1, y1 = _sheaf_lift(X)
+    k2, x2, y2 = _sheaf_lift(Y)
+    return _COUNT_RULES[k1, k2](x1, y1, x2, y2, s.p, s.q)
 
 
 def hom_dim(X: SheafClass, Y: SheafClass) -> int:
     """dim Hom(X, Y) = Int+(phi^-1(Y) se-shifted once, phi^-1(X)) by Serre duality."""
-    _in_scope(X, Y)
-    return positive_int(phi_inv_se_shifted(Y), phi_inv(X))
+    s = _in_scope(X, Y)
+    k2, x2, y2 = _sheaf_lift(Y)
+    k1, x1, y1 = _sheaf_lift(X)
+    return _COUNT_RULES[k2, k1](x2 + k2._x_step, y2 + k2._y_step, x1, y1, s.p, s.q)
 
 
 def _tube_hom_count(top_x: int, len_x: int, top_y: int, len_y: int, rank: int) -> int:
@@ -142,19 +154,22 @@ def is_exceptional(X: SheafClass) -> bool:
 
 def classify_nonzero(X: SheafClass, Y: SheafClass) -> MapClass:
     """Classify the nonzero morphisms X -> Y (mono, epi, mixed, or none)."""
-    _in_scope(X, Y)
-    return _classify(X, Y, phi_inv(X), phi_inv(Y))
+    s = _in_scope(X, Y)
+    return _classify(X, Y, _sheaf_lift(X), _sheaf_lift(Y), s)
 
 
-def _classify(X: SheafClass, Y: SheafClass, gX, gY) -> MapClass:
-    """`classify_nonzero` with the curves gX = phi_inv(X) and gY = phi_inv(Y)."""
-    if not positive_int(gY.se_shifted(1), gX):
+def _classify(X: SheafClass, Y: SheafClass, lift_x, lift_y, s: Surface) -> MapClass:
+    """`classify_nonzero` on the lifts of X and Y, counting Hom and then
+    Ext^1(Y, X) with no curve built."""
+    (k1, x1, y1), (k2, x2, y2) = lift_x, lift_y
+    count = _COUNT_RULES[k2, k1]
+    if not count(x2 + k2._x_step, y2 + k2._y_step, x1, y1, s.p, s.q):
         return _NONE
     if isinstance(X, LineBundle) and isinstance(Y, LineBundle):
         # Nonzero maps of line bundles are injective regardless of
         # extensions in the opposite direction.
         return _SELF if X == Y else _MONO
-    if positive_int(gY, gX):
+    if count(x2, y2, x1, y1, s.p, s.q):
         return _MIXED
     if isinstance(X, LineBundle):
         return _EPI
@@ -162,7 +177,7 @@ def _classify(X: SheafClass, Y: SheafClass, gX, gY) -> MapClass:
         return _SELF
     # Same tube: a top shift matching the length difference is a mono,
     # a preserved top with a drop in length is an epi.
-    rank = X.surface.p if isinstance(X, TorsionInf) else X.surface.q
+    rank = s.p if isinstance(X, TorsionInf) else s.q
     dlen = Y.j - X.j
     if dlen > 0 and (Y.i - X.i) % rank == dlen % rank:
         return _MONO
@@ -192,10 +207,10 @@ def cokernel_of_mono(X: SheafClass, Y: SheafClass) -> Tuple[SheafClass, SheafCla
     particular excludes two-dimensional Hom spaces.
     """
     s = _in_scope(X, Y)
-    g1, g2 = phi_inv(X), phi_inv(Y)
-    if _classify(X, Y, g1, g2) is not _MONO:
+    lift_x, lift_y = _sheaf_lift(X), _sheaf_lift(Y)
+    if _classify(X, Y, lift_x, lift_y, s) is not _MONO:
         raise NotApplicable("cokernels are computed for proper monos only")
-    g1m = g1.se_shifted(-1)
+    g1m, g2 = _curve(s, lift_x).se_shifted(-1), _curve(s, lift_y)
     k = _unique_crossing_offset(g2, g1m)
     g1m = g1m.translated(k)
     ends = connector(s, g1m.end, g2.end)
@@ -211,10 +226,10 @@ def kernel_of_epi(X: SheafClass, Y: SheafClass) -> Tuple[SheafClass, SheafClass]
     reported second.
     """
     s = _in_scope(X, Y)
-    g1, g2 = phi_inv(X), phi_inv(Y)
-    if _classify(X, Y, g1, g2) is not _EPI:
+    lift_x, lift_y = _sheaf_lift(X), _sheaf_lift(Y)
+    if _classify(X, Y, lift_x, lift_y, s) is not _EPI:
         raise NotApplicable("kernels are computed for proper epis only")
-    g2m = g2.se_shifted(1)
+    g1, g2m = _curve(s, lift_x), _curve(s, lift_y).se_shifted(1)
     k = _unique_crossing_offset(g2m, g1)
     g1 = g1.translated(k)
     starts = connector(s, g1.start, g2m.start)
@@ -238,7 +253,8 @@ def epi_mono_factor(X: SheafClass, Y: SheafClass) -> SheafClass:
     s = _in_scope(X, Y)
     if not isinstance(Y, (TorsionInf, TorsionZero)):
         raise NotApplicable("the factorization target must be tube torsion")
-    g1, g2 = phi_inv(X), phi_inv(Y)
+    lift_x, lift_y = _sheaf_lift(X), _sheaf_lift(Y)
+    g1, g2 = _curve(s, lift_x), _curve(s, lift_y)
     if not positive_int(g2.se_shifted(1), g1):
         raise NotApplicable("no nonzero morphism to factor")
     k = _unique_crossing_offset(g2, g1)
@@ -259,21 +275,10 @@ def epi_mono_factor(X: SheafClass, Y: SheafClass) -> SheafClass:
         if length < 1:
             raise NotApplicable("the crossing carries no morphism")
         Z = TorsionZero(s, -start1, length)
-    gZ = phi_inv(Z)
-    if _classify(X, Z, g1, gZ) is not _EPI:
+    lift_z = _sheaf_lift(Z)
+    if _classify(X, Z, lift_x, lift_z, s) is not _EPI:
         raise InternalInvariantViolation("factor is not an epi image")
-    if _classify(Z, Y, gZ, g2).tag != MONO:
+    if _classify(Z, Y, lift_z, lift_y, s).tag != MONO:
         raise InternalInvariantViolation("factor does not embed in the target")
     return Z
 
-
-def class_additivity_holds(X: SheafClass, Y: SheafClass, parts) -> bool:
-    """Check class(Y) = class(X) + sum of part classes in (rank, det)."""
-    rx, dx = sheaf_class_vector(X)
-    ry, dy = sheaf_class_vector(Y)
-    rsum, dsum = rx, dx
-    for part in parts:
-        rp, dp = sheaf_class_vector(part)
-        rsum += rp
-        dsum = dsum + dp
-    return (ry, dy) == (rsum, dsum)

@@ -8,11 +8,13 @@ count (all inequalities strict).
 
 The translates of c2's lift that cross c1's positively form one interval
 of offsets, so a count is a subtraction: its cost is O(1) in the answer.
-Only :func:`positive_crossings` builds a witness per crossing.
+Each interval is written once (`_FORMULAS`) and compiled over curves and
+over bare lifts, so a count whose lifts are known builds no curve.
 """
 
 from __future__ import annotations
 
+from itertools import product
 from typing import Optional, Tuple
 
 from .core import (
@@ -42,43 +44,54 @@ class EndpointRelation(_Value):
     clockwise_follows: bool
 
 
-# (type(c1), type(c2)) -> rule(c1, c2, p, q) giving `_crossing_offsets`.
-# Bridging never crosses a peripheral positively in this order, and the two
-# boundaries never meet.
+# One line per pair of curve classes that can cross ("<c1>-<c2>"): c2's
+# lift translated by k turns crosses c1's positively exactly for
+# lo/lo_den < k < hi/hi_den.  In inner-inner c2's translate must also start
+# before c1, in outer-outer end after it.  The other four pairs never
+# cross: bridging never crosses a peripheral positively in this order,
+# and the two boundaries never meet.
+_FORMULAS = """
+bridging-bridging  c1.j-c2.j                 q  c1.i-c2.i                 p
+inner-bridging     c1.a-c2.i                 p  c1.b-c2.i                 p
+outer-bridging     c1.a-c2.j                 q  c1.b-c2.j                 q
+inner-inner        c1.a-c2.b                 p  min(c1.b-c2.b,c1.a-c2.a)  p
+outer-outer        max(c1.a-c2.a,c1.b-c2.b)  q  c1.b-c2.a                 q
+"""
+_KINDS = {"bridging": Bridging, "inner": InnerPeripheral, "outer": OuterPeripheral}
 _NO_OFFSETS = lambda c1, c2, p, q: (0, -1, "")
-_OFFSET_RULES = {
-    (Bridging, Bridging): lambda c1, c2, p, q: (
-        (c1.j - c2.j) // q + 1, (c1.i - c2.i - 1) // p, "bridging-bridging"
-    ),
-    (InnerPeripheral, Bridging): lambda c1, c2, p, q: (
-        (c1.a - c2.i) // p + 1, (c1.b - c2.i - 1) // p, "inner-bridging"
-    ),
-    (OuterPeripheral, Bridging): lambda c1, c2, p, q: (
-        (c1.a - c2.j) // q + 1, (c1.b - c2.j - 1) // q, "outer-bridging"
-    ),
-    # c2's translate must also start before c1: c2.a + k*p < c1.a.
-    (InnerPeripheral, InnerPeripheral): lambda c1, c2, p, q: (
-        (c1.a - c2.b) // p + 1, (min(c1.b - c2.b, c1.a - c2.a) - 1) // p, "inner-inner"
-    ),
-    # c2's translate must also end after c1: c2.b + k*q > c1.b.
-    (OuterPeripheral, OuterPeripheral): lambda c1, c2, p, q: (
-        max(c1.a - c2.a, c1.b - c2.b) // q + 1, (c1.b - c2.a - 1) // q, "outer-outer"
-    ),
-    (Bridging, InnerPeripheral): _NO_OFFSETS,
-    (Bridging, OuterPeripheral): _NO_OFFSETS,
-    (InnerPeripheral, OuterPeripheral): _NO_OFFSETS,
-    (OuterPeripheral, InnerPeripheral): _NO_OFFSETS,
-}
+_NO_COUNT = lambda x1, y1, x2, y2, p, q: 0
+
+
+def _compile(formulas: str):
+    """Each formula in one `eval` as a curve form (c1, c2, p, q) -> (kmin,
+    kmax, config) and a lift form (x1, y1, x2, y2, p, q) -> count, whose
+    field `c1.i` is the argument `c1_i`.  Lifts need no normalising: a turn
+    of either moves kmin and kmax alike.  lo // den + 1 is the least
+    k > lo/den and (hi - 1) // den the greatest k < hi/den."""
+    pairs, sources = [], []
+    for config, lo, lo_den, hi, hi_den in map(str.split, formulas.strip().splitlines()):
+        k1, k2 = map(_KINDS.get, config.split("-"))
+        pairs.append((k1, k2))
+        sources.append("lambda c1, c2, p, q: ((%s) // %s + 1, (%s - 1) // %s, %r)"
+                       % (lo, lo_den, hi, hi_den, config))
+        count = "(%s - 1) // %s - (%s) // %s" % (hi, hi_den, lo, lo_den)
+        sources.append("lambda c1_%s, c1_%s, c2_%s, c2_%s, p, q: n if (n := %s) > 0 else 0"
+                       % (k1._x, k1._y, k2._x, k2._y, count.replace(".", "_")))
+    rules = iter(eval("(%s,)" % ", ".join(sources)))
+    offsets = dict.fromkeys(product(_KINDS.values(), repeat=2), _NO_OFFSETS)
+    counts = dict.fromkeys(offsets, _NO_COUNT)
+    for pair in pairs:
+        offsets[pair], counts[pair] = next(rules), next(rules)
+    return offsets, counts
+
+
+# The curve form and the lift form of every class pair's formula.
+_OFFSET_RULES, _COUNT_RULES = _compile(_FORMULAS)
 
 
 def _crossing_offsets(c1: Curve, c2: Curve) -> Tuple[int, int, str]:
     """(kmin, kmax, config): c2's lift translated by k turns crosses c1's
-    positively exactly for kmin <= k <= kmax (none when kmax < kmin).
-
-    Each bound is the nearest integer strictly inside a rational bound:
-    num // den + 1 is the least k > num/den and (num - 1) // den the
-    greatest k < num/den.
-    """
+    positively exactly for kmin <= k <= kmax (none when kmax < kmin)."""
     try:
         rule = _OFFSET_RULES[type(c1), type(c2)]
     except KeyError:
@@ -93,16 +106,6 @@ def _crossing_offsets(c1: Curve, c2: Curve) -> Tuple[int, int, str]:
     return rule(c1, c2, s.p, s.q)
 
 
-def positive_crossings(c1: Curve, c2: Curve) -> Tuple[CrossingWitness, ...]:
-    """Witnesses of the minimal positive crossings of the ordered pair (c1, c2).
-
-    The only function here that builds one witness per crossing, so its
-    cost grows with the answer; count with :func:`positive_int`.
-    """
-    kmin, kmax, config = _crossing_offsets(c1, c2)
-    return tuple(CrossingWitness(k, config) for k in range(kmin, kmax + 1))
-
-
 def positive_int(c1: Curve, c2: Curve) -> int:
     """Minimal number of positive crossings of the ordered pair (c1, c2).
 
@@ -110,6 +113,15 @@ def positive_int(c1: Curve, c2: Curve) -> int:
     """
     kmin, kmax, _ = _crossing_offsets(c1, c2)
     return kmax - kmin + 1 if kmax >= kmin else 0
+
+
+def _shifted_count(c1: Curve, c2: Curve) -> int:
+    """`positive_int(c1.se_shifted(1), c2)` on c1's lift moved by its class's
+    se-shift steps, for a pair `_crossing_offsets` accepts: no curve built."""
+    k1, s = type(c1), c1.surface
+    x1, y1 = c1._indices(c1)
+    count = _COUNT_RULES.get((k1, type(c2)), _NO_COUNT)
+    return count(x1 + k1._x_step, y1 + k1._y_step, *c2._indices(c2), s.p, s.q)
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +185,7 @@ def exceptional_intersection(alpha: Curve, beta: Curve) -> Optional[CrossingWitn
     kmin, kmax, config = _crossing_offsets(alpha, beta)
     if kmax < kmin:
         return None
-    if positive_int(alpha.se_shifted(1), beta) != 0:
+    if _shifted_count(alpha, beta) != 0:
         return None
     if kmax != kmin:
         raise InternalInvariantViolation(

@@ -4,20 +4,24 @@ For an exceptional pair (E, F) the left mutation is determined by the
 morphism/extension dimensions and exact-sequence bookkeeping on classes:
 twists for the two-dimensional Hom case, kernel/cokernel tube arithmetic
 for one-dimensional Hom, uniserial gluing for one-dimensional Ext, and the
-identity for orthogonal pairs.
+identity for orthogonal pairs.  The (rank, determinant) class vectors
+check the additivity of the exact sequences the kernels and cokernels of
+`wplarcs.homext` belong to.
 """
 
 from wplarcs.core import (
     LineBundle,
     TorsionInf,
     TorsionZero,
+    Zero,
     canonical,
     twist,
     x1,
     x2,
     tau,
+    zero,
 )
-from wplarcs.errors import NotApplicable
+from wplarcs.errors import NotApplicable, OutOfScope
 from wplarcs.homext import hom_dim_oracle
 
 
@@ -121,3 +125,29 @@ def algebraic_right_mutation(E, F):
     if h == 2:
         return twist(E, 2 * canonical(s))
     return algebraic_left_mutation(E, F)
+
+
+def sheaf_class_vector(sheaf):
+    """(rank, determinant) class used for exactness bookkeeping."""
+    s = sheaf.surface
+    if isinstance(sheaf, LineBundle):
+        return (1, sheaf.x)
+    if isinstance(sheaf, TorsionInf):
+        return (0, sheaf.j * x1(s))
+    if isinstance(sheaf, TorsionZero):
+        return (0, sheaf.j * x2(s))
+    if isinstance(sheaf, Zero):
+        return (0, zero(s))
+    raise OutOfScope("ordinary torsion carries no exceptional class vector")
+
+
+def class_additivity_holds(X, Y, parts) -> bool:
+    """Check class(Y) = class(X) + sum of part classes in (rank, det)."""
+    rx, dx = sheaf_class_vector(X)
+    ry, dy = sheaf_class_vector(Y)
+    rsum, dsum = rx, dx
+    for part in parts:
+        rp, dp = sheaf_class_vector(part)
+        rsum += rp
+        dsum = dsum + dp
+    return (ry, dy) == (rsum, dsum)

@@ -1,13 +1,16 @@
 """The Hom/Ext entry points as they once were, each call re-checking its inputs.
 
 Kept in the tests as differential references for `wplarcs.homext`, whose
-entry points check their inputs once and build one curve per sheaf.  Here
+entry points check their inputs once and count on each sheaf's lift, with
+no curve built for a Hom or Ext count.  Here
 `phi_inv_literal` reads each sheaf type's lift from its own `isinstance`
 branch; `hom_dim_literal` builds the Serre-dual curve as
 `phi_inv(Y).se_shifted(1)`, two constructions; `classify_literal` calls
 the nested `hom_dim_literal` and `ext1_dim_literal`, each with its own
 scope check; and the kernel, cokernel and factor references classify
 through `classify_literal` and then run `phi_inv_literal` again.
+`serre_lift_holds` checks the Serre-dual lift the entry points count Hom
+on against the curve `phi_inv_literal(Y).se_shifted(1)`.
 """
 
 from typing import Tuple
@@ -29,7 +32,7 @@ from wplarcs.core import (
     phi_ext,
 )
 from wplarcs.errors import InternalInvariantViolation, NotApplicable, OutOfScope
-from wplarcs.homext import EPI, MIXED, MONO, NO_MAP, MapClass
+from wplarcs.homext import EPI, MIXED, MONO, NO_MAP, MapClass, _sheaf_lift
 from wplarcs.intersect import _crossing_offsets, positive_int
 
 
@@ -47,6 +50,14 @@ def phi_inv_literal(sheaf):
     if isinstance(sheaf, Zero):
         raise OutOfScope("the zero class has no canonical curve")
     raise TypeError(f"not a sheaf class: {sheaf!r}")
+
+
+def serre_lift_holds(Y) -> bool:
+    """Y's lift, moved by its curve class's se-shift steps, is a lift of
+    `phi_inv(Y).se_shifted(1)`: the Serre-dual curve `hom_dim` counts on."""
+    cls, x, y = _sheaf_lift(Y)
+    shifted = cls(Y.surface, x + cls._x_step, y + cls._y_step)
+    return shifted == phi_inv_literal(Y).se_shifted(1)
 
 
 def require_in_scope_literal(*sheaves):

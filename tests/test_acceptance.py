@@ -47,7 +47,6 @@ from wplarcs.exceptional import (
 from wplarcs.homext import (
     EPI,
     MONO,
-    class_additivity_holds,
     classify_nonzero,
     cokernel_of_mono,
     ext1_dim,
@@ -70,7 +69,11 @@ from wplarcs.tilting import (
 
 from bizley_literal import bizley_count_literal_binomial
 from conftest import window_arcs, window_curves
-from algebra_oracle import algebraic_left_mutation, algebraic_right_mutation
+from algebra_oracle import (
+    algebraic_left_mutation,
+    algebraic_right_mutation,
+    class_additivity_holds,
+)
 
 SURFACES = [Surface(1, 1), Surface(1, 2), Surface(2, 2), Surface(2, 3), Surface(3, 3)]
 ALL_3x3 = [Surface(p, q) for p in range(1, 4) for q in range(1, 4)]

@@ -30,7 +30,6 @@ from wplarcs.core import (
     phi,
     phi_ext,
     phi_inv,
-    sheaf_class_vector,
     structure_sheaf,
     tau,
     tau_inv,
@@ -46,6 +45,7 @@ from wplarcs.errors import (
     SurfaceMismatch,
 )
 
+from algebra_oracle import sheaf_class_vector
 from conftest import ACCEPT_SURFACES, window_arcs, window_curves
 
 S23 = Surface(2, 3)

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from wplarcs import homext
+from wplarcs import core, homext, intersect
 from wplarcs.core import (
     Bridging,
     InnerPeripheral,
@@ -19,7 +19,6 @@ from wplarcs.core import (
     normal_form,
     phi,
     phi_inv,
-    phi_inv_se_shifted,
     structure_sheaf,
     tau,
     x1,
@@ -33,7 +32,6 @@ from wplarcs.homext import (
     MONO,
     NO_MAP,
     _tube_hom_count,
-    class_additivity_holds,
     classify_nonzero,
     cokernel_of_mono,
     epi_mono_factor,
@@ -45,6 +43,7 @@ from wplarcs.homext import (
 )
 from wplarcs.intersect import positive_int
 
+from algebra_oracle import class_additivity_holds
 from conftest import ACCEPT_SURFACES, SMALL_SURFACES, window_arcs, window_curves
 from homext_literal import (
     classify_literal,
@@ -54,6 +53,7 @@ from homext_literal import (
     hom_dim_literal,
     kernel_literal,
     phi_inv_literal,
+    serre_lift_holds,
 )
 from tube_literal import tube_hom_count_literal
 
@@ -134,20 +134,34 @@ class TestSerreRoutes:
                 ), (gx, gy)
 
     def test_one_intersection_count_per_call(self, monkeypatch):
-        calls = []
-
-        def counting(c1, c2):
-            calls.append((c1, c2))
-            return positive_int(c1, c2)
-
-        monkeypatch.setattr(homext, "positive_int", counting)
+        kernels = count_kernels(monkeypatch)
         sheaves = sheaf_window(Surface(3, 4), turns=1)
         for X in sheaves[::7]:
             for Y in sheaves[::5]:
-                calls.clear()
+                kernels.clear()
                 dim = hom_dim(X, Y)
-                assert calls == [(phi_inv(Y).se_shifted(1), phi_inv(X))]
-                assert dim == positive_int(*calls[0])
+                ((k1, k2), (x1, y1, x2, y2, p, q)), = kernels
+                s = X.surface
+                assert (p, q) == (s.p, s.q)
+                # The count ran on the Serre-dual pair: Y's curve se-shifted
+                # once, then X's curve.
+                assert k1(s, x1, y1) == phi_inv_literal(Y).se_shifted(1)
+                assert k2(s, x2, y2) == phi_inv_literal(X)
+                assert dim == positive_int(phi_inv(Y).se_shifted(1), phi_inv(X))
+
+
+def count_kernels(monkeypatch):
+    """Records each evaluation of the lift form of a crossing formula as
+    ((class of c1, class of c2), its arguments)."""
+    kernels = []
+    for pair, rule in intersect._COUNT_RULES.items():
+
+        def counting(*args, pair=pair, rule=rule):
+            kernels.append((pair, args))
+            return rule(*args)
+
+        monkeypatch.setitem(intersect._COUNT_RULES, pair, counting)
+    return kernels
 
 
 class TestExceptional:
@@ -349,6 +363,12 @@ class ShiftedBundle(LineBundle):
     __slots__ = ()
 
 
+class ShiftedTube(TorsionZero):
+    """A subclass of a tube class, also unknown to the type look-up."""
+
+    __slots__ = ()
+
+
 class TestLiteralRoutes:
     """Each entry point checks its inputs once and builds one curve per
     sheaf; the references re-check and rebuild, as the entry points once did."""
@@ -426,26 +446,53 @@ class TestLiteralRoutes:
             assert_routes_agree(Y, X)
         assert outcome(hom_dim, X, TorsionOrdinary(S23, "t", 1))[0] is OutOfScope
 
+    @pytest.mark.parametrize("s", [S23, Surface(5, 6)], ids=str)
+    def test_deep_subclasses_and_errors(self, s):
+        # Subclass sheaves take the `phi_inv` fall-back at degree 1e18.
+        rng = random.Random(s.p + 7 * s.q)
+        for _ in range(4):
+            pool = deep_pool(rng, s)
+            A, T = pool[0], pool[-1]
+            pool += [ShiftedBundle(s, A.x), ShiftedTube(s, T.i, T.j)]
+            for X in pool:
+                for Y in pool:
+                    assert_routes_agree(X, Y)
+        # Each error class at degree 1e18: scope before surfaces, and a
+        # curve is not a sheaf.
+        far = line_bundle(Surface(s.q, s.p), normal_form(0, 0, -(10**18), Surface(s.q, s.p)))
+        curve = Bridging(s, 1, 10**18)
+        for X, Y, error in (
+            (TorsionOrdinary(s, "t", 1), far, OutOfScope),
+            (far, Zero(s), OutOfScope),
+            (A, far, SurfaceMismatch),
+            (curve, A, TypeError),
+            (T, curve, TypeError),
+        ):
+            for new, old in ROUTES:
+                got = outcome(new, X, Y)
+                assert got == outcome(old, X, Y), (new.__name__, X, Y)
+                # epi_mono_factor refuses a target that is not tube torsion
+                # before it reads a lift.
+                assert got[0] is error or (
+                    new is epi_mono_factor and got[0] is NotApplicable
+                ), (new.__name__, X, Y)
+
     def test_phi_inv_matches_literal(self):
         for s in DEEP_SURFACES:
             rng = random.Random(s.q)
-            sheaves = deep_pool(rng, s) + [TorsionOrdinary(s, "t", 3)]
+            sheaves = deep_pool(rng, s)
             for X in sheaves + [ShiftedBundle(s, sheaves[0].x)]:
                 assert phi_inv(X) == phi_inv_literal(X)
-                if not isinstance(X, TorsionOrdinary):
-                    assert phi_inv_se_shifted(X) == phi_inv(X).se_shifted(1)
+                assert serre_lift_holds(X), X
+            T = TorsionOrdinary(s, "t", 3)
+            assert phi_inv(T) == phi_inv_literal(T)
         for bad in (Zero(S23), Bridging(S23, 0, 0)):
             assert outcome(lambda X, _: phi_inv(X), bad, None) == outcome(
                 lambda X, _: phi_inv_literal(X), bad, None
             )
-        # Ordinary torsion has a loop, which has no se-shift.
-        T = TorsionOrdinary(S23, "t", 1)
-        assert outcome(lambda X, _: phi_inv_se_shifted(X), T, None) == outcome(
-            lambda X, _: phi_inv_literal(X).se_shifted(1), T, None
-        )
 
-    def test_one_check_and_one_curve_per_sheaf(self, monkeypatch):
-        calls = []
+    def test_one_check_and_one_lift_per_sheaf(self, monkeypatch):
+        calls, curves = [], []
 
         def counting(name, fn):
             def wrapper(*args):
@@ -454,23 +501,45 @@ class TestLiteralRoutes:
 
             monkeypatch.setattr(homext, name, wrapper)
 
-        for name in ("_in_scope", "phi_inv", "phi_inv_se_shifted"):
+        for name in ("_in_scope", "_sheaf_lift", "phi_inv"):
             counting(name, getattr(homext, name))
+        kernels = count_kernels(monkeypatch)
+        init, lift = core._EndpointCurve.__init__, core._lift
+
+        def built_init(self, *args):
+            curves.append(type(self))
+            init(self, *args)
+
+        def built_lift(*args):
+            curves.append(args[0])
+            return lift(*args)
+
+        monkeypatch.setattr(core._EndpointCurve, "__init__", built_init)
+        monkeypatch.setattr(core, "_lift", built_lift)
+        one_check = ["_in_scope", "_sheaf_lift", "_sheaf_lift"]
+        # The counting entry points build no curve: one kernel evaluation
+        # per count, on the lifts.
+        for s in (S23, Surface(3, 4)):
+            sheaves = sheaf_window(s, turns=1)
+            for X in sheaves[::3]:
+                for Y in sheaves[::2]:
+                    for f, counts in ((hom_dim, {1}), (ext1_dim, {1}), (classify_nonzero, {1, 2})):
+                        for log in (calls, curves, kernels):
+                            log.clear()
+                        f(X, Y)
+                        assert calls == one_check, (f.__name__, X, Y)
+                        assert curves == [], (f.__name__, X, Y)
+                        assert len(kernels) in counts, (f.__name__, X, Y)
+        # Those that need connectors build curves from the same lifts.
         X, Y = O, line_bundle(S23, x1(S23))
-        expected = {
-            hom_dim: ["_in_scope", "phi_inv_se_shifted", "phi_inv"],
-            ext1_dim: ["_in_scope", "phi_inv", "phi_inv"],
-            classify_nonzero: ["_in_scope", "phi_inv", "phi_inv"],
-            cokernel_of_mono: ["_in_scope", "phi_inv", "phi_inv"],
-        }
-        for f, names in expected.items():
+        for f, args in (
+            (cokernel_of_mono, (X, Y)),
+            (kernel_of_epi, (O, TorsionZero(S23, 0, 1))),
+        ):
             calls.clear()
-            f(X, Y)
-            assert calls == names, f.__name__
-        calls.clear()
-        kernel_of_epi(O, TorsionZero(S23, 0, 1))
-        assert calls == ["_in_scope", "phi_inv", "phi_inv"]
+            f(*args)
+            assert calls == one_check, f.__name__
         calls.clear()
         epi_mono_factor(line_bundle(S23, 2 * x1(S23)), TorsionInf(S23, 3, 2))
-        # The factor's own curve, for the two self-checks.
-        assert calls == ["_in_scope", "phi_inv", "phi_inv", "phi_inv"]
+        # The factor's own lift, for the two self-checks.
+        assert calls == one_check + ["_sheaf_lift"]

@@ -142,3 +142,26 @@ print(json.dumps({{
         "added": [],
         "dir": [],
     }
+
+
+# Helpers only the tests call; they live in `tests/` (the class vectors in
+# `algebra_oracle`, the witnesses in `test_intersect`), and the Serre-dual
+# curve is no longer built on the Hom route.
+MOVED_OUT = (
+    "positive_crossings",
+    "sheaf_class_vector",
+    "class_additivity_holds",
+    "phi_inv_se_shifted",
+)
+
+
+def test_test_only_helpers_are_not_in_the_package():
+    code = f"""
+import importlib, json, wplarcs
+layers = [importlib.import_module("wplarcs." + n) for n in {LAYERS!r}]
+print(json.dumps(sorted(
+    n for n in {MOVED_OUT!r}
+    if n in wplarcs.__all__ or any(hasattr(m, n) for m in layers)
+)))
+"""
+    assert _fresh(code) == []

@@ -1,8 +1,9 @@
+import random
 from types import SimpleNamespace
 
 import pytest
 
-from wplarcs import intersect
+from wplarcs import core, intersect
 from wplarcs.core import (
     Bridging,
     InnerPeripheral,
@@ -21,7 +22,6 @@ from wplarcs.homext import classify_nonzero, ext1_dim, hom_dim
 from wplarcs.intersect import (
     endpoint_relation,
     exceptional_intersection,
-    positive_crossings,
     positive_int,
 )
 
@@ -29,6 +29,13 @@ from conftest import ACCEPT_SURFACES, SMALL_SURFACES, window_arcs, window_curves
 from geom_oracle import brute_positive_int
 
 S23 = Surface(2, 3)
+
+
+def positive_crossings(c1, c2):
+    """Witnesses of the positive crossings of (c1, c2), one per offset of
+    `_crossing_offsets`: the one count whose cost grows with the answer."""
+    kmin, kmax, config = intersect._crossing_offsets(c1, c2)
+    return tuple(intersect.CrossingWitness(k, config) for k in range(kmin, kmax + 1))
 
 
 class TestPositiveInt:
@@ -274,3 +281,69 @@ class TestCostContract:
         # Offsets 0 .. 10**20 - 1 carry the bridging arc's end into (0, 2*10**20).
         wide = InnerPeripheral(S23, 0, 2 * 10**20)
         assert positive_int(wide, Bridging(S23, 1, 0)) == 10**20
+
+
+CLASSES = (Bridging, InnerPeripheral, OuterPeripheral)
+PAIRS = [(k1, k2) for k1 in CLASSES for k2 in CLASSES]
+LIFT_SURFACES = [Surface(1, 1), S23, Surface(3, 4), Surface(5, 6), Surface(7, 2)]
+
+
+def random_lift(rng, kind, s):
+    """(x, y) of a lift of class `kind`, not normalised: indices up to
+    +-1e18, peripheral spans from 1 (degenerate) to past a full turn."""
+    scale = rng.choice((10, 10**4, HUGE))
+    x = rng.randint(-scale, scale)
+    if kind is Bridging:
+        return x, rng.randint(-scale, scale)
+    return x, x + rng.choice((1, 2, rng.randint(1, 3 * max(s.p, s.q)), rng.randint(1, scale)))
+
+
+def deck(kind, s, x, y, turns):
+    """The lift (x, y) moved `turns` full turns along the cover."""
+    return x + turns * kind._x_period(s), y + turns * kind._y_period(s)
+
+
+class TestLiftForm:
+    """The lift form of each crossing formula (`_COUNT_RULES`) against the
+    curve form (`_crossing_offsets`), on curves built from the same lifts."""
+
+    def test_one_formula_per_pair_in_both_forms(self):
+        assert sorted(intersect._COUNT_RULES, key=str) == sorted(PAIRS, key=str)
+        assert sorted(intersect._OFFSET_RULES, key=str) == sorted(PAIRS, key=str)
+        never = [pair for pair in PAIRS if intersect._COUNT_RULES[pair] is intersect._NO_COUNT]
+        assert len(never) == 4
+        assert {intersect._OFFSET_RULES[pair] for pair in never} == {intersect._NO_OFFSETS}
+
+    @pytest.mark.parametrize(
+        "k1, k2", PAIRS, ids=[f"{a.__name__}-{b.__name__}" for a, b in PAIRS]
+    )
+    def test_lift_form_matches_curve_form(self, k1, k2):
+        rng = random.Random(PAIRS.index((k1, k2)))
+        count = intersect._COUNT_RULES[k1, k2]
+        for _ in range(300):
+            s = rng.choice(LIFT_SURFACES)
+            (x1, y1), (x2, y2) = random_lift(rng, k1, s), random_lift(rng, k2, s)
+            kmin, kmax, _ = intersect._crossing_offsets(k1(s, x1, y1), k2(s, x2, y2))
+            want = max(0, kmax - kmin + 1)
+            # The same offsets on the lifts as given, up to one deck turn.
+            base = core._lift(k1, s, x1, y1), core._lift(k2, s, x2, y2)
+            kmin, kmax, _ = intersect._crossing_offsets(*base)
+            assert max(0, kmax - kmin + 1) == want
+            for t1, t2 in ((0, 0), (1, 0), (0, -1), (-3, 7), (HUGE, -HUGE), (rng.randint(-HUGE, HUGE), 0)):
+                lift1, lift2 = deck(k1, s, x1, y1, t1), deck(k2, s, x2, y2, t2)
+                assert count(*lift1, *lift2, s.p, s.q) == want, (s, lift1, lift2)
+                # Deck turns shift the offsets, and not their number.
+                c1, c2 = core._lift(k1, s, *lift1), core._lift(k2, s, *lift2)
+                lo, hi, _ = intersect._crossing_offsets(c1, c2)
+                if want:
+                    assert (lo, hi) == (kmin + t1 - t2, kmax + t1 - t2), (s, lift1, lift2)
+                else:
+                    assert hi < lo, (s, lift1, lift2)
+
+    @pytest.mark.parametrize("s", ACCEPT_SURFACES, ids=str)
+    def test_shifted_count_is_the_serre_dual_count(self, s):
+        curves = window_curves(s, turns=2, max_span_turns=2)
+        curves += [Bridging(s, HUGE, -HUGE), InnerPeripheral(s, -HUGE, HUGE)]
+        for a in curves:
+            for b in curves:
+                assert intersect._shifted_count(a, b) == positive_int(a.se_shifted(1), b)
