@@ -3,12 +3,12 @@
 Left/right mutation of an exceptional pair of arcs is computed by the case
 split: identity for orthogonal pairs, the double-bridging rule for pairs
 sharing both endpoints, a boundary-connector move for pairs sharing one
-endpoint, and crossing smoothing for exceptional intersections.
+endpoint, and crossing smoothing for exceptional intersections.  Results
+are tabled up to twist and read from lifts, as in `exceptional`.
 
 The braid action keeps ordered exceptional collections exceptional, so
-`apply_braid` checks its input once (when `validate` is set) and applies
-the letters unchecked; the tests apply every letter to the collections
-within a few letters of a fan and check each result.
+`apply_braid` checks its input once and applies the letters unchecked to
+lifts (kind, x, y); the tests check every letter near a fan.
 
 `normalize_to_theta` sends a maximal ordered collection back to the
 canonical fan by one bidirectional search over single letters on folded
@@ -39,7 +39,9 @@ from .errors import (
 )
 from .exceptional import (
     OrderedCollection,
-    _anchor,
+    _curve,
+    _lifts,
+    _ordered,
     _pair_verdict,
     is_ordered_exceptional_collection,
 )
@@ -115,24 +117,31 @@ def _smooth_crossing(alpha: Curve, beta: Curve) -> Curve:
     return g4 if deg3 else g3
 
 
-# Mutations tabled up to twist, in anchored form; see `exceptional._anchor`.
-_MUTATE_CACHE: Dict[tuple, Curve] = {}
+# Mutations tabled up to twist, read from lifts: (anchored pair key, side) ->
+# the result's lift twisted back to the anchor; bounded as `_PAIR_CACHE` is.
+_MUTATE_CACHE: Dict[tuple, tuple] = {}
+
+
+def _twisted(lift: tuple, u: int, v: int, s: Surface) -> tuple:
+    """The lift of the arc with lift `lift` twisted by (u, v), as `Curve.twisted`."""
+    kind, x, y = lift
+    if not kind:
+        k = (x + u) // s.p
+        return 0, x + u - k * s.p, y + v - k * s.q
+    d, period = (u, s.p) if kind == 1 else (v, s.q)
+    start = (x + d) % period
+    return kind, start, start + y - x
 
 
 def mutate_pair(alpha: Curve, beta: Curve, side: str) -> Curve:
     """Left mutation of beta at alpha, or right mutation of alpha at beta."""
     if side not in (LEFT, RIGHT):
         raise InvalidArguments("side must be 'left' or 'right'")
-    anchored = _anchor(alpha, beta)
-    if anchored is None:
+    lifts = _lifts((alpha, beta))
+    if lifts is None:
         raise NotExceptional(f"({alpha!r}, {beta!r}) is not an exceptional pair")
-    key, u, v = anchored
-    hit = _MUTATE_CACHE.get((key, side))
-    if hit is not None:
-        return hit.twisted(u, v)
-    result = _mutate_pair(alpha, beta, side)
-    _MUTATE_CACHE[key, side] = result.twisted(-u, -v)
-    return result
+    pair = _apply_letter(lifts, 1, 1 if side == LEFT else -1, alpha.surface)
+    return _curve(pair[0] if side == LEFT else pair[1], alpha.surface)
 
 
 def _mutate_pair(alpha: Curve, beta: Curve, side: str) -> Curve:
@@ -177,14 +186,35 @@ def _mutate_pair(alpha: Curve, beta: Curve, side: str) -> Curve:
 # ---------------------------------------------------------------------------
 
 
-def _apply_letter(arcs: tuple, idx: int, sign: int) -> tuple:
+def _anchor(a: tuple, b: tuple, s: Surface) -> Tuple[tuple, int, int]:
+    """(key, u, v): the key under which `exceptional._verdicts` tables the
+    lifts (a, b), and the twist (u, v) taking the anchored pair it encodes
+    to (a, b).  The anchor is the pair's first bridging arc, moved to
+    B(0, 0); with none, each peripheral start moves to 0, a's first."""
+    (ka, xa, ya), (kb, xb, yb) = a, b
+    if not ka:
+        return (s.p, s.q, 0, 0, 0, *_twisted(b, -xa, -ya, s)), xa, ya
+    if not kb:
+        return (s.p, s.q, *_twisted(a, -xb, -yb, s), 0, 0, 0), xb, yb
+    u, v = (xa, xb if kb == 2 else 0) if ka == 1 else (xb if kb == 1 else 0, xa)
+    return (s.p, s.q, ka, 0, ya - xa, *_twisted(b, -u, -v, s)), u, v
+
+
+def _apply_letter(arcs: tuple, idx: int, sign: int, s: Surface) -> tuple:
+    """One letter on a tuple of lifts: (a, b) becomes (L_a b, a) or (b, R_b a).
+    The mutation is read from the table up to twist; curves are built, and a
+    pair that is not exceptional raises, only on a table miss."""
     i = idx - 1
     a, b = arcs[i], arcs[i + 1]
-    if sign > 0:
-        pair = (mutate_pair(a, b, LEFT), a)
+    side = LEFT if sign > 0 else RIGHT
+    key, u, v = _anchor(a, b, s)
+    hit = _MUTATE_CACHE.get((key, side))
+    if hit is None:
+        c = _mutate_pair(_curve(a, s), _curve(b, s), side).key()
+        _MUTATE_CACHE[key, side] = _twisted(c, -u, -v, s)
     else:
-        pair = (b, mutate_pair(a, b, RIGHT))
-    return arcs[:i] + pair + arcs[i + 2 :]
+        c = _twisted(hit, u, v, s)
+    return arcs[:i] + ((c, a) if sign > 0 else (b, c)) + arcs[i + 2 :]
 
 
 def apply_braid(
@@ -192,20 +222,20 @@ def apply_braid(
 ) -> OrderedCollection:
     """Act on an ordered exceptional collection, rightmost letter first.
 
-    With `validate` the input is checked once and NotExceptional raised if
-    it is not an ordered exceptional collection; every letter then maps
-    such a collection to another one, so the letters are not re-checked.
+    The arcs are checked once, and with `validate` NotExceptional is raised
+    if they are not an ordered exceptional collection; every letter maps
+    such a collection to another one, so the letters act unchecked on lifts.
     """
     arcs = tuple(collection)
     if braid.strands != len(arcs):
-        raise IndexOutOfRange(
-            f"word on {braid.strands} strands versus {len(arcs)} arcs"
-        )
-    if validate and not is_ordered_exceptional_collection(arcs):
+        raise IndexOutOfRange(f"word on {braid.strands} strands versus {len(arcs)} arcs")
+    s = arcs[0].surface if arcs else None
+    lifts = _lifts(arcs)
+    if lifts is None or validate and not _ordered(lifts, s):
         raise NotExceptional("input is not an ordered exceptional collection")
     for idx, sign in reversed(braid.letters):
-        arcs = _apply_letter(arcs, idx, sign)
-    return arcs
+        lifts = _apply_letter(lifts, idx, sign, s)
+    return tuple([_curve(a, s) for a in lifts])
 
 
 # ---------------------------------------------------------------------------
@@ -310,8 +340,9 @@ def _new_id(arc: Curve) -> int:
 
 
 def _step(key: Tuple[int, int, int]) -> Tuple[int, int]:
-    a, b = _apply_letter((_ARCS[key[0]], _ARCS[key[1]]), 1, key[2])
-    return _IDS[a], _IDS[b]
+    s = _ARCS[key[0]].surface
+    pair = _apply_letter((_ARCS[key[0]].key(), _ARCS[key[1]].key()), 1, key[2], s)
+    return tuple([_IDS[_curve(a, s)] for a in pair])
 
 
 # Shared by every search: arcs and their anchoring se-shifts by id, steps

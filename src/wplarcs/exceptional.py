@@ -6,17 +6,19 @@ and Int+(alpha se-shifted once, beta) = 0 (Hom, by Serre duality).
 A set of arcs is an exceptional collection exactly when every unordered
 pair passes the pair test in at least one direction and the precedence
 digraph (edges forced by one-directional pairs) is acyclic; admissible
-orders are its topological orders; one table look-up gives a pair's
-verdicts both ways.  Completion is one lazy first-fit pass over every
-peripheral arc and a bridging window anchored at the collection's
-bridging arcs, so its cost does not grow with their winding.
+orders are its topological orders.  Inside, an arc is its lift (kind, x,
+y), checked once on the way in, and a table read from two lifts gives a
+pair's verdicts both ways; curves are built only for returned arcs and on
+a table miss.  Completion is one lazy first-fit pass over every peripheral
+arc and a bridging window anchored at the collection's bridging arcs, so
+its cost does not grow with their winding.
 """
 
 from __future__ import annotations
 
 import heapq
 from itertools import chain
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .core import (
     INNER,
@@ -27,9 +29,9 @@ from .core import (
     OuterPeripheral,
     SheafClass,
     Surface,
-    TorsionOrdinary,
     Zero,
     _check_same_surface,
+    _lift,
     _Value,
     is_arc,
     phi_inv,
@@ -63,8 +65,6 @@ def is_exceptional_pair(E: SheafClass, F: SheafClass) -> bool:
     their curves by `_pair_verdict`."""
     if isinstance(E, Zero) or isinstance(F, Zero):
         return False
-    if isinstance(E, TorsionOrdinary) or isinstance(F, TorsionOrdinary):
-        return False
     return _pair_verdict(phi_inv(E), phi_inv(F))
 
 
@@ -73,10 +73,13 @@ def is_exceptional_pair(E: SheafClass, F: SheafClass) -> bool:
 # every inner index by u and every outer one by v: B(i, j) -> B(i + u, j + v),
 # IP(a, b) -> IP(a + u, b + u), OP(a, b) -> OP(a + v, b + v); (u, v) = (p, q)
 # is the deck translation, the relation p*x1 = q*x2.  So the pair test, and
-# mutation (`braid._MUTATE_CACHE`), depend on a pair only up to a twist, and
-# the tables key on the pair twisted to its anchor (`_anchor`), a pair entry
-# holding both orders' verdicts.  Bridging pairs more than q apart fail both
-# ways by Lemma 1 of `complete_to_maximal`; every other pair anchors to one of
+# mutation (`braid._MUTATE_CACHE`), depend on a pair only up to a twist.  The
+# tables are read from lifts: an arc is held as its lift (kind, x, y), its
+# `key()` with x in [0, period), and `_verdicts` twists two lifts to their
+# anchor in integer arithmetic, giving the 8-int key (p, q, kind, x, y, kind,
+# x, y); a pair entry holds both orders' verdicts.  Bridging pairs more than
+# q apart fail both ways by Lemma 1 of `complete_to_maximal`; every other
+# pair anchors to one of
 #     p(2q + 1) + p(p^2 - 1) + q(q^2 - 1) + 2(p - 1)(q - 1)
 # pairs per surface: B(0, 0) first with B(x, y), 0 <= x < p, |y| <= q, or
 # with a peripheral arc; a peripheral arc first with B(0, 0); or two
@@ -94,78 +97,58 @@ def _pair_verdict(alpha: Curve, beta: Curve) -> bool:
     )
 
 
-def _anchored(arc: Curve, u: int, v: int, p: int, q: int) -> Optional[tuple]:
-    """(kind, x, y) of `arc` twisted by (-u, -v), x normalised to [0, period);
-    None, before any twist, when `arc` is not an arc."""
-    t = type(arc)
-    if t is Bridging:
-        k = (arc.i - u) // p
-        return 0, arc.i - u - k * p, arc.j - v - k * q
-    if t is InnerPeripheral:
-        kind, x, period = 1, arc.a - u, p
-    elif t is OuterPeripheral:
-        kind, x, period = 2, arc.a - v, q
-    else:
-        return None
-    span = arc.b - arc.a
-    if not 2 <= span <= period:
-        return None
-    x %= period
-    return kind, x, x + span
+def _curve(lift: tuple, s: Surface) -> Curve:
+    """The curve on `s` whose `key()` is `lift`."""
+    return _lift((Bridging, InnerPeripheral, OuterPeripheral)[lift[0]], s, *lift[1:])
 
 
-def _anchor(alpha: Curve, beta: Curve) -> Optional[Tuple[tuple, int, int]]:
-    """(key, u, v): twisting the anchored pair that `key` encodes by (u, v)
-    gives (alpha, beta).  None when the pair is exceptional in neither
-    order, as a curve is not an arc (a loop, a degenerate or a wrapping
-    curve), or by Lemma 1; such pairs never reach a table.
+def _lifts(arcs: Sequence[Curve]) -> Optional[Tuple[tuple, ...]]:
+    """The lifts of `arcs`, each arc checked once: SurfaceMismatch when two
+    lie on different surfaces, None when one is not an arc."""
+    if arcs:
+        _check_same_surface(*arcs)
+    return tuple([a.key() for a in arcs]) if all(a.is_arc() for a in arcs) else None
 
-    The anchor is the pair's first bridging arc, moved to B(0, 0); with
-    none, each peripheral start moves to 0.
-    """
-    s, t = alpha.surface, beta.surface
+
+def _verdicts(a: tuple, b: tuple, s: Surface) -> Tuple[bool, bool]:
+    """`_pair_verdict` both ways on the arcs with lifts (a, b), a first,
+    tabled under the key of the pair twisted to its anchor (`braid._anchor`
+    gives the same key); curves are built only on a table miss."""
     p, q = s.p, s.q
-    if t.p != p or t.q != q:
-        _check_same_surface(alpha, beta)
-    if type(alpha) is Bridging:
-        u, v = alpha.i, alpha.j
-        b = _anchored(beta, u, v, p, q)
-        if b is None or b[0] == 0 and not -q <= b[2] <= q:
-            return None
-        return (p, q, 0, 0, 0) + b, u, v
-    if type(beta) is Bridging:
-        u, v = beta.i, beta.j
-        a = _anchored(alpha, u, v, p, q)
-        return None if a is None else ((p, q) + a + (0, 0, 0), u, v)
-    u = v = 0
-    for arc in (beta, alpha):  # alpha's start wins on a shared boundary
-        if type(arc) is InnerPeripheral:
-            u = arc.a
-        elif type(arc) is OuterPeripheral:
-            v = arc.a
-    a = _anchored(alpha, u, v, p, q)
-    b = _anchored(beta, u, v, p, q)
-    if a is None or b is None:
-        return None
-    return (p, q) + a + b, u, v
-
-
-def _arc_pair_verdicts(alpha: Curve, beta: Curve) -> Tuple[bool, bool]:
-    """`_pair_verdict` both ways, (alpha, beta) first, tabled up to twist."""
-    anchored = _anchor(alpha, beta)
-    if anchored is None:
-        return False, False
-    key = anchored[0]
+    ka, xa, ya = a
+    kb, xb, yb = b
+    if not ka:
+        if not kb:
+            k = (xb - xa) // p
+            y = yb - ya - k * q
+            if not -q <= y <= q:
+                return False, False  # by Lemma 1, and never tabled
+            key = (p, q, 0, 0, 0, 0, xb - xa - k * p, y)
+        else:
+            x = (xb - xa) % p if kb == 1 else (xb - ya) % q
+            key = (p, q, 0, 0, 0, kb, x, x + yb - xb)
+    elif not kb:
+        x = (xa - xb) % p if ka == 1 else (xa - yb) % q
+        key = (p, q, ka, x, x + ya - xa, 0, 0, 0)
+    else:
+        x = (xb - xa) % (p if ka == 1 else q) if ka == kb else 0
+        key = (p, q, ka, 0, ya - xa, kb, x, x + yb - xb)
     hit = _PAIR_CACHE.get(key)
     if hit is None:
+        alpha, beta = _curve(a, s), _curve(b, s)
         hit = _PAIR_CACHE[key] = _pair_verdict(alpha, beta), _pair_verdict(beta, alpha)
     return hit
 
 
+def _arc_pair_verdicts(alpha: Curve, beta: Curve) -> Tuple[bool, bool]:
+    """`_verdicts` on two curves; (False, False) when one is not an arc."""
+    lifts = _lifts((alpha, beta))
+    return (False, False) if lifts is None else _verdicts(*lifts, alpha.surface)
+
+
 def pair_position(alpha: Curve, beta: Curve) -> PositionClass:
     """Mutual position of two arcs, matching the exceptional-pair trichotomy."""
-    _check_same_surface(alpha, beta)
-    if not (alpha.is_arc() and beta.is_arc()):
+    if _lifts((alpha, beta)) is None:
         raise OutOfScope("positions are classified for arcs")
     if alpha == beta:
         return PositionClass(NOT_PAIR)
@@ -215,41 +198,35 @@ class ArcCollection(_Value):
 OrderedCollection = Tuple[Curve, ...]
 
 
-def _precedence_edges(arcs: Sequence[Curve]):
-    """Forced order edges; None on a non-arc or a pair failing both ways."""
-    for a in arcs:
-        if not a.is_arc():
+def _precedence(collection: ArcCollection) -> Optional[Tuple[List[tuple], dict]]:
+    """The sorted lifts of an exceptional collection and its precedence
+    digraph (edges forced by one-directional pairs); None if it is not one."""
+    lifts = _lifts(tuple(collection.arcs))
+    if lifts is None:
+        return None
+    arcs, edges = [], {}
+    for arc in sorted(lifts):
+        if not _can_add(arcs, edges, arc, collection.surface):
             return None
-    edges = {i: set() for i in range(len(arcs))}
-    for i in range(len(arcs)):
-        for j in range(i + 1, len(arcs)):
-            fwd, bwd = _arc_pair_verdicts(arcs[i], arcs[j])
-            if not (fwd or bwd):
-                return None
-            if fwd and not bwd:
-                edges[i].add(j)
-            elif bwd and not fwd:
-                edges[j].add(i)
-    return edges
+    return arcs, edges
 
 
-def _topological_order(arcs: Sequence[Curve], edges) -> Optional[OrderedCollection]:
-    """Order of the digraph `edges` on `arcs`, least `key()` first; None on a cycle."""
+def _topological_order(arcs: Sequence[tuple], edges, s: Surface) -> OrderedCollection:
+    """The arcs in the order of the acyclic digraph `edges`, least lift first."""
     indeg = [0] * len(arcs)
-    for outs in edges.values():
-        for j in outs:
-            indeg[j] += 1
-    heap = [(arcs[i].key(), i) for i, d in enumerate(indeg) if d == 0]
+    for j in chain.from_iterable(edges.values()):
+        indeg[j] += 1
+    heap = [(arcs[i], i) for i, d in enumerate(indeg) if d == 0]
     heapq.heapify(heap)
     order = []
     while heap:
         i = heapq.heappop(heap)[1]
-        order.append(arcs[i])
+        order.append(_curve(arcs[i], s))
         for j in edges[i]:
             indeg[j] -= 1
             if indeg[j] == 0:
-                heapq.heappush(heap, (arcs[j].key(), j))
-    return tuple(order) if len(order) == len(arcs) else None
+                heapq.heappush(heap, (arcs[j], j))
+    return tuple(order)
 
 
 def order_collection(collection: ArcCollection) -> Optional[OrderedCollection]:
@@ -258,23 +235,21 @@ def order_collection(collection: ArcCollection) -> Optional[OrderedCollection]:
     Succeeds iff the set is an exceptional collection; ties are broken by
     the canonical arc encoding.
     """
-    arcs = collection.sorted_arcs()
-    edges = _precedence_edges(arcs)
-    return None if edges is None else _topological_order(arcs, edges)
+    found = _precedence(collection)
+    return None if found is None else _topological_order(*found, collection.surface)
+
+
+def _ordered(arcs: Sequence[tuple], s: Surface) -> bool:
+    """The lifts `arcs` are distinct and every ordered pair (i < j) passes."""
+    return len(set(arcs)) == len(arcs) and all(
+        _verdicts(a, b, s)[0] for i, a in enumerate(arcs) for b in arcs[i + 1 :]
+    )
 
 
 def is_ordered_exceptional_collection(arcs: Sequence[Curve]) -> bool:
     """Every ordered pair (i < j) must be an exceptional pair."""
-    if len(set(arcs)) != len(arcs):
-        return False
-    for a in arcs:
-        if not is_arc(a):
-            return False
-    for i in range(len(arcs)):
-        for j in range(i + 1, len(arcs)):
-            if not _arc_pair_verdicts(arcs[i], arcs[j])[0]:
-                return False
-    return True
+    lifts = _lifts(arcs)
+    return lifts is not None and _ordered(lifts, arcs[0].surface if arcs else None)
 
 
 # ---------------------------------------------------------------------------
@@ -349,61 +324,63 @@ def adjust_endpoints(collection: ArcCollection, arc: Bridging) -> Bridging:
 # ---------------------------------------------------------------------------
 
 
-def _can_add(arcs: List[Curve], edges, candidate: Curve) -> Optional[list]:
-    """New edge rows if `candidate` keeps the collection exceptional, else None.
+def _can_add(arcs: List[tuple], edges, candidate: tuple, s: Surface) -> bool:
+    """Append `candidate` to `arcs`, and its edges to the digraph `edges`,
+    if it keeps the collection exceptional.
 
     One table look-up per member decides both orders.  The digraph `edges`
     is acyclic, so the candidate closes a cycle exactly when one of its
     successors already reaches one of its predecessors.
     """
-    n = len(arcs)
-    new_edges = []
+    preds, succs = set(), []
     for idx, arc in enumerate(arcs):
-        fwd, bwd = _arc_pair_verdicts(arc, candidate)
+        fwd, bwd = _verdicts(arc, candidate, s)
         if not (fwd or bwd):
-            return None
+            return False
         if fwd and not bwd:
-            new_edges.append((idx, n))
+            preds.add(idx)
         elif bwd and not fwd:
-            new_edges.append((n, idx))
-    preds = {u for u, v in new_edges if v == n}
-    stack = [v for u, v in new_edges if u == n]
-    seen = set(stack)
+            succs.append(idx)
+    stack, seen = list(succs), set(succs)
     while stack and preds:
         u = stack.pop()
         if u in preds:
-            return None
+            return False
         for v in edges[u] - seen:
             seen.add(v)
             stack.append(v)
-    return new_edges
+    for u in preds:
+        edges[u].add(len(arcs))
+    edges[len(arcs)] = set(succs)
+    arcs.append(candidate)
+    return True
 
 
-def _peripheral_pool(s: Surface) -> Iterable[Curve]:
-    """Every peripheral arc, in `key()` order."""
-    for cls, period in ((InnerPeripheral, s.p), (OuterPeripheral, s.q)):
+def _peripheral_pool(s: Surface) -> Iterable[tuple]:
+    """The lift of every peripheral arc, in order."""
+    for kind, period in ((1, s.p), (2, s.q)):
         for a in range(period):
             for span in range(2, period + 1):
-                yield cls(s, a, a + span)
+                yield kind, a, a + span
 
 
-def _bridging_pool(s: Surface, arcs: Iterable[Curve]) -> Iterable[Curve]:
-    """Completion's bridging window: B(i, j), i in [0, p), j within q of the
-    collection's bridging arcs (within 2q of 0 if it has none), nearest the
-    anchor interval first, then in `key()` order."""
-    starts = [a.j for a in arcs if isinstance(a, Bridging)]
+def _bridging_pool(s: Surface, arcs: Iterable[tuple]) -> Iterable[tuple]:
+    """Completion's bridging window, as lifts: B(i, j), i in [0, p), j within
+    q of the collection's bridging arcs (within 2q of 0 if it has none),
+    nearest the anchor interval first, then in order."""
+    starts = [j for kind, _, j in arcs if not kind]
     lo, hi = (min(starts), max(starts)) if starts else (0, 0)
     margin = s.q if starts else 2 * s.q
     rings = [range(lo, hi + 1)] + [(lo - d, hi + d) for d in range(1, margin + 1)]
-    return (Bridging(s, i, j) for js in rings for i in range(s.p) for j in js)
+    return ((0, i, j) for js in rings for i in range(s.p) for j in js)
 
 
 # Largest p + q completion admits.  Its cost grows with the pair table it
-# fills, up to p^3 + q^3 + O(pq) entries (the bound above `_PAIR_CACHE`).
-# On a 2-CPU x86-64 host with CPython 3.11, completing B(0, 0) from an
-# empty table takes 0.39 s and 26 MB at (50, 50) and 1.2 s and 65 MB at
-# (1, 99), the worst shape admitted; at (100, 100) it takes 2.9 s, 120 MB
-# and 392,108 entries, and through the CLI (150, 150) takes 9.3 s.
+# fills, up to p^3 + q^3 + O(pq) entries (the bound above `_PAIR_CACHE`),
+# each miss building its two curves.  On a 2-CPU x86-64 host with CPython
+# 3.11, completing B(0, 0) from an empty table takes 0.33-0.39 s and 27 MB
+# at (50, 50) and 1.1-1.3 s and 59 MB at (1, 99), the worst shape admitted;
+# at (100, 100), past the guard, 2.4-3.1 s, 104 MB and 392,108 entries.
 MAX_COMPLETION_RANK = 100
 
 
@@ -424,26 +401,18 @@ def complete_to_maximal(collection: ArcCollection) -> OrderedCollection:
     s = collection.surface
     if s.rank > MAX_COMPLETION_RANK:
         raise InvalidArguments(f"completion is guarded to p + q <= {MAX_COMPLETION_RANK}")
-    arcs = collection.sorted_arcs()
-    edges = _precedence_edges(arcs)
-    if edges is None or _topological_order(arcs, edges) is None:
+    found = _precedence(collection)
+    if found is None:
         raise NotApplicable("input is not an exceptional collection")
+    arcs, edges = found
     members = set(arcs)
     for cand in chain(_peripheral_pool(s), _bridging_pool(s, arcs)):
         if len(arcs) == s.rank:
             break
-        if cand in members:
-            continue
-        new_edges = _can_add(arcs, edges, cand)
-        if new_edges is None:
-            continue
-        edges[len(arcs)] = set()
-        for u, v in new_edges:
-            edges[u].add(v)
-        arcs.append(cand)
-        members.add(cand)
+        if cand not in members and _can_add(arcs, edges, cand, s):
+            members.add(cand)
     if len(arcs) != s.rank:
         raise InternalInvariantViolation(
             f"completion stalled at {len(arcs)} of {s.rank} arcs"
         )
-    return _topological_order(arcs, edges)
+    return _topological_order(arcs, edges, s)

@@ -53,7 +53,8 @@ ACCEPT_SURFACES = SMALL_SURFACES + [Surface(3, 3)]
 def _rechecked(complete):
     """`complete_to_maximal` followed by the self-check it no longer runs:
     the completed set, ordered from scratch by `order_collection`, is an
-    exceptional collection in the order returned."""
+    exceptional collection in the order returned, and that order passes
+    every pair test (i < j), which no precedence digraph decides."""
 
     @wraps(complete)
     def checked(collection):
@@ -61,7 +62,7 @@ def _rechecked(complete):
         again = exceptional.order_collection(
             exceptional.ArcCollection(collection.surface, frozenset(ordered))
         )
-        if again is None:
+        if again is None or not exceptional.is_ordered_exceptional_collection(ordered):
             raise InternalInvariantViolation("completed set lost exceptionality")
         assert again == ordered, (again, ordered)
         return ordered

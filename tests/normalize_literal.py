@@ -9,14 +9,14 @@ whole budget.  That search expands every state of a side in each round.
 ids: the same folded search, with states of curves keyed by their `key()`
 tuples and every letter applied to the whole collection.
 
-Letters are applied through `braid._apply_letter`, looked up at each call,
-so a test that patches it counts these searches' letters too.
+Letters are applied through `anchor_literal.apply_letter`, which looks
+`braid._apply_letter` up at each call, so a test that patches it counts
+these searches' letters too.
 """
 
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from wplarcs import braid
 from wplarcs.braid import (
     BraidWord,
     _check_same_surface,
@@ -28,6 +28,8 @@ from wplarcs.braid import (
 )
 from wplarcs.core import Bridging, Curve, Surface
 from wplarcs.errors import NotApplicable, SearchExhausted
+
+from anchor_literal import apply_letter
 
 
 def _state_key(arcs: Sequence[Curve]) -> tuple:
@@ -44,7 +46,7 @@ def _compose_power(w: BraidWord, n: int) -> BraidWord:
 def _neighbors(arcs: tuple):
     for idx in range(1, len(arcs)):
         for sign in (1, -1):
-            yield (idx, sign), braid._apply_letter(arcs, idx, sign)
+            yield (idx, sign), apply_letter(arcs, idx, sign)
 
 
 def _bidirectional_search(
@@ -149,7 +151,7 @@ def curve_keyed_search(
         for state, carried, trail in layers[side]:
             last = max(i for i, a in enumerate(state) if type(a) is Bridging)
             for letter in alphabet:
-                nxt = braid._apply_letter(state, *letter)
+                nxt = apply_letter(state, *letter)
                 k = 0
                 if last <= letter[0] <= last + 1:
                     k, nxt = _fold(nxt)

@@ -14,7 +14,6 @@ from wplarcs.core import (
 )
 from wplarcs.braid import (
     BraidWord,
-    _apply_letter,
     apply_braid,
     canonical_theta,
     full_twist_word,
@@ -33,6 +32,7 @@ from wplarcs.exceptional import (
     ArcCollection,
 )
 
+from anchor_literal import apply_letter
 from conftest import ACCEPT_SURFACES, empty_braid_tables, window_arcs
 from normalize_literal import _compose_power, curve_keyed_search, normalize_literal
 from algebra_oracle import (
@@ -241,7 +241,7 @@ def collections_near_fan(s, letters=3, shift=3):
         for L in frontier:
             for idx in range(1, s.rank):
                 for sign in (1, -1):
-                    nxt = _apply_letter(L, idx, sign)
+                    nxt = apply_letter(L, idx, sign)
                     if nxt not in seen:
                         seen.add(nxt)
                         new.append(nxt)
@@ -259,7 +259,7 @@ class TestLetterClosure:
         for L in collections_near_fan(s):
             for idx in range(1, r):
                 for sign in (1, -1):
-                    out = _apply_letter(L, idx, sign)
+                    out = apply_letter(L, idx, sign)
                     assert is_ordered_exceptional_collection(out), (L, idx, sign)
                     sheaves = [phi(a) for a in out]
                     for i in range(r):
@@ -269,23 +269,28 @@ class TestLetterClosure:
                             )
 
     def test_apply_braid_checks_its_input_once(self, monkeypatch):
-        calls = []
+        # Each arc is checked once on the way in (`_lifts`), and with
+        # `validate` the pairs once (`_ordered`); no letter checks again.
+        calls = {"_lifts": [], "_ordered": []}
+        for name, log in calls.items():
+            check = getattr(braid, name)
 
-        def counting(arcs):
-            calls.append(arcs)
-            return is_ordered_exceptional_collection(arcs)
+            def counting(*args, log=log, check=check):
+                log.append(args[0])
+                return check(*args)
 
-        monkeypatch.setattr(braid, "is_ordered_exceptional_collection", counting)
+            monkeypatch.setattr(braid, name, counting)
         s = Surface(3, 4)
         r = s.rank
         rng = random.Random(11)
         w = word(r, *(rng.choice([1, -1]) * rng.randint(1, r - 1) for _ in range(200)))
         fan = canonical_theta(s)
         out = apply_braid(fan, w)
-        assert len(calls) == 1
-        calls.clear()
+        assert len(calls["_lifts"]) == len(calls["_ordered"]) == 1
+        for log in calls.values():
+            log.clear()
         assert apply_braid(fan, w, validate=False) == out
-        assert calls == []
+        assert len(calls["_lifts"]) == 1 and calls["_ordered"] == []
 
     def test_validate_rejects_the_input(self):
         with pytest.raises(NotExceptional):
@@ -515,11 +520,11 @@ class TestNormalizeWordAssembly:
 
 def _counting_letters(monkeypatch):
     calls = [0]
-    apply_letter = braid._apply_letter
+    original = braid._apply_letter
 
-    def counting(arcs, idx, sign):
+    def counting(*args):
         calls[0] += 1
-        return apply_letter(arcs, idx, sign)
+        return original(*args)
 
     monkeypatch.setattr(braid, "_apply_letter", counting)
     return calls

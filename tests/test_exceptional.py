@@ -32,7 +32,7 @@ from wplarcs.exceptional import (
     _bridging_pool,
     _can_add,
     _pair_verdict,
-    _precedence_edges,
+    _topological_order,
     DISJOINT,
     EXCEPTIONAL_CROSSING,
     NOT_PAIR,
@@ -61,6 +61,11 @@ import completion_literal
 
 S23 = Surface(2, 3)
 O = structure_sheaf(S23)
+
+
+def peripheral_pool(s: Surface) -> list:
+    """Completion's peripheral pool, as curves."""
+    return [exceptional._curve(a, s) for a in exceptional._peripheral_pool(s)]
 
 
 class TestPairs:
@@ -337,7 +342,7 @@ class TestOnePassCompletion:
 
     @pytest.mark.parametrize("s", RANK_8_SURFACES, ids=str)
     def test_seeds_without_bridging_arcs(self, s):
-        pool = list(exceptional._peripheral_pool(s))
+        pool = peripheral_pool(s)
         rng = random.Random(23)
         seeds = [[]] + [[arc] for arc in pool]
         for _ in range(10):
@@ -357,15 +362,15 @@ class TestOnePassCompletion:
     def test_bridging_window_rule(self, s, js):
         # Nearest the anchor interval first: the argument for one pass
         # needs the first bridging arc kept to be within q/2 of 0.
-        seed = [Bridging(s, 0, j) for j in js] + [InnerPeripheral(s, 0, 2)]
+        seed = [(0, 0, j) for j in js] + [(1, 0, 2)]
         lo, hi, margin = (min(js), max(js), s.q) if js else (0, 0, 2 * s.q)
         pool = list(_bridging_pool(s, seed))
         window = range(lo - margin, hi + margin + 1)
-        assert set(pool) == {Bridging(s, i, j) for i in range(s.p) for j in window}
-        distances = [max(lo - c.j, c.j - hi, 0) for c in pool]
+        assert set(pool) == {Bridging(s, i, j).key() for i in range(s.p) for j in window}
+        distances = [max(lo - j, j - hi, 0) for _, _, j in pool]
         assert distances == sorted(distances)
         for d in set(distances):
-            same = [c.key() for c, e in zip(pool, distances) if e == d]
+            same = [c for c, e in zip(pool, distances) if e == d]
             assert same == sorted(same)
 
     @pytest.mark.parametrize(
@@ -373,48 +378,42 @@ class TestOnePassCompletion:
     )
     def test_pair_tests_per_completion(self, s, monkeypatch):
         # Every peripheral arc and a window of at most p(4q + 1) bridging
-        # arcs, each tried against at most r arcs with one table look-up
-        # for both orders, plus one look-up per pair of the seed.  No
-        # unordered pair is looked up twice, and each look-up anchors its
-        # pair once.  The completion is called unwrapped, without the
-        # recheck that conftest adds.
+        # arcs, each tried against at most r arcs with one kernel call
+        # for both orders, plus one call per pair of the seed.  No
+        # unordered pair is looked up twice; the kernel anchors its pair
+        # in line, once a call.  The completion is called unwrapped,
+        # without the recheck that conftest adds.
         bound = s.rank * (s.p**2 + s.q**2 + 4 * s.p * s.q + s.p)
         complete = exceptional.complete_to_maximal.__wrapped__
-        verdicts, anchor = exceptional._arc_pair_verdicts, exceptional._anchor
-        looked_up, anchored = [], []
+        verdicts = exceptional._verdicts
+        looked_up = []
         for j in (0, s.q * 10**18):
-            calls = {"look-ups": 0, "anchors": 0}
+            calls = [0]
             pairs = set()
 
-            def counting_verdicts(alpha, beta):
-                calls["look-ups"] += 1
-                pairs.add(frozenset((alpha, beta)))
-                return verdicts(alpha, beta)
+            def counting(a, b, s):
+                calls[0] += 1
+                pairs.add(frozenset((a, b)))
+                return verdicts(a, b, s)
 
-            def counting_anchor(alpha, beta):
-                calls["anchors"] += 1
-                return anchor(alpha, beta)
-
-            monkeypatch.setattr(exceptional, "_arc_pair_verdicts", counting_verdicts)
-            monkeypatch.setattr(exceptional, "_anchor", counting_anchor)
+            monkeypatch.setattr(exceptional, "_verdicts", counting)
             complete(ArcCollection.of(s, [Bridging(s, 0, j)]))
-            assert len(pairs) == calls["look-ups"]
-            looked_up.append(calls["look-ups"])
-            anchored.append(calls["anchors"])
-        assert looked_up[0] == looked_up[1] <= bound
-        assert anchored[0] == anchored[1] <= looked_up[0]
+            assert len(pairs) == calls[0]
+            looked_up.append(calls[0])
+        assert 0 < looked_up[0] == looked_up[1] <= bound
 
     @pytest.mark.parametrize("s", [Surface(2, 3), Surface(4, 5)], ids=str)
     def test_seed_pairs_are_looked_up_once(self, s, monkeypatch):
-        # A seed that is already maximal costs one look-up per unordered pair.
+        # A seed that is already maximal costs one kernel call per
+        # unordered pair.
         calls = [0]
-        verdicts = exceptional._arc_pair_verdicts
+        verdicts = exceptional._verdicts
 
-        def counting(alpha, beta):
+        def counting(a, b, s):
             calls[0] += 1
-            return verdicts(alpha, beta)
+            return verdicts(a, b, s)
 
-        monkeypatch.setattr(exceptional, "_arc_pair_verdicts", counting)
+        monkeypatch.setattr(exceptional, "_verdicts", counting)
         fan = canonical_theta(s)
         exceptional.complete_to_maximal.__wrapped__(ArcCollection.of(s, fan))
         assert calls[0] == s.rank * (s.rank - 1) // 2
@@ -437,7 +436,7 @@ class TestLiteralCompletion:
                 st.one_of(st.integers(-3 * s.q, 3 * s.q), st.integers(-(10**18), 10**18))
             )
             seed.append(Bridging(s, data.draw(st.integers(0, s.p - 1)), j))
-        pool = list(exceptional._peripheral_pool(s))
+        pool = peripheral_pool(s)
         extra = st.lists(st.sampled_from(pool), max_size=2) if pool else st.just([])
         for arc in data.draw(extra):
             trial = ArcCollection.of(s, set(seed + [arc]))
@@ -451,7 +450,7 @@ class TestLiteralCompletion:
     def test_peripheral_seeds(self, s):
         # The empty seed and every one-arc peripheral seed: the bridging
         # window is then the 2q window around 0.
-        for arc in [None] + list(exceptional._peripheral_pool(s)):
+        for arc in [None] + peripheral_pool(s):
             collection = ArcCollection.of(s, [] if arc is None else [arc])
             expected = completion_literal.complete_to_maximal(collection)
             assert complete_to_maximal(collection) == expected, arc
@@ -462,10 +461,10 @@ class TestCompletionGuard:
         "p, q", [(1, 100), (51, 50), (1000, 1000), (1, 99), (50, 50)]
     )
     def test_refused_above_the_rank_bound_before_any_work(self, monkeypatch, p, q):
-        def started(arcs):
+        def started(*args):
             raise RuntimeError("completion started")
 
-        monkeypatch.setattr(exceptional, "_precedence_edges", started)
+        monkeypatch.setattr(exceptional, "_precedence", started)
         s = Surface(p, q)
         refused = p + q > 100
         with pytest.raises(InvalidArguments if refused else RuntimeError):
@@ -476,10 +475,16 @@ class TestCompletionRecheck:
     def test_every_completion_is_rechecked(self, monkeypatch):
         # conftest wraps `complete_to_maximal` before this module binds it,
         # so a completion that loses exceptionality fails the test that
-        # made it.
+        # made it.  Here every candidate is added, unchecked, with no edge.
         assert complete_to_maximal is exceptional.complete_to_maximal
         assert complete_to_maximal.__wrapped__ is not complete_to_maximal
-        monkeypatch.setattr(exceptional, "_can_add", lambda arcs, edges, cand: [])
+
+        def add_unchecked(arcs, edges, candidate, s):
+            edges[len(arcs)] = set()
+            arcs.append(candidate)
+            return True
+
+        monkeypatch.setattr(exceptional, "_can_add", add_unchecked)
         with pytest.raises(InternalInvariantViolation, match="lost exceptionality"):
             complete_to_maximal(ArcCollection.of(S23, [Bridging(S23, 0, 0)]))
 
@@ -487,7 +492,9 @@ class TestCompletionRecheck:
 class TestCanAdd:
     @pytest.mark.parametrize("s", ACCEPT_SURFACES + [Surface(3, 4)], ids=str)
     def test_matches_ordering_the_enlarged_set(self, s):
-        """A window arc can be added exactly when the enlarged set orders."""
+        """A window arc can be added exactly when the enlarged set orders,
+        by the untabled literal order; an added arc leaves the digraph
+        ordering the enlarged set, a refused one leaves it as it was."""
         rng = random.Random(31)
         r = s.rank
         fan = canonical_theta(s)
@@ -500,15 +507,23 @@ class TestCanAdd:
             ]
             L = apply_braid(fan, word(r, *letters), validate=False)
             subset = rng.sample(L, rng.randint(1, r))
-            arcs = list(order_collection(ArcCollection.of(s, subset)))
-            edges = _precedence_edges(arcs)
+            lifts, edges = exceptional._precedence(ArcCollection.of(s, subset))
+            arcs = [exceptional._curve(a, s) for a in lifts]
             for cand in window:
                 if cand in arcs:
                     continue
-                added = _can_add(arcs, edges, cand)
-                pairs_pass = _precedence_edges(arcs + [cand]) is not None
-                ordered = order_collection(ArcCollection.of(s, arcs + [cand]))
-                assert (added is not None) == (ordered is not None), (arcs, cand)
+                grown, grown_edges = list(lifts), {i: set(e) for i, e in edges.items()}
+                added = _can_add(grown, grown_edges, cand.key(), s)
+                both_ways = completion_literal._pairs_ok
+                pairs_pass = all(any(both_ways(a, cand)) for a in arcs)
+                enlarged = ArcCollection.of(s, arcs + [cand])
+                ordered = completion_literal.order_collection(enlarged)
+                assert added == (ordered is not None), (arcs, cand)
+                if added:
+                    assert grown == lifts + [cand.key()]
+                    assert _topological_order(grown, grown_edges, s) == ordered
+                else:
+                    assert (grown, grown_edges) == (lifts, edges)
                 cycles += pairs_pass and ordered is None
         if r >= 4:
             assert cycles > 0
@@ -543,9 +558,9 @@ class TestArcsAlone:
 
     @pytest.mark.parametrize("s", [Surface(2, 3), Surface(4, 5)], ids=str)
     def test_bridging_pool_is_anchored_at_the_collection(self, s):
-        far = list(_bridging_pool(s, [Bridging(s, 0, 10**18)]))
-        assert len(far) == len(list(_bridging_pool(s, [Bridging(s, 0, 0)])))
-        assert Bridging(s, 0, 10**18) in far
+        far = list(_bridging_pool(s, [(0, 0, 10**18)]))
+        assert len(far) == len(list(_bridging_pool(s, [(0, 0, 0)])))
+        assert (0, 0, 10**18) in far
 
     def test_collections_build_no_sheaf(self, monkeypatch):
         s = Surface(3, 4)

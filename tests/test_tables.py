@@ -30,13 +30,14 @@ from wplarcs.core import (
 from wplarcs.errors import NotExceptional, SurfaceMismatch
 from wplarcs.exceptional import (
     ArcCollection,
-    _anchor,
     _arc_pair_verdicts,
+    _curve,
     _pair_verdict,
     complete_to_maximal,
     is_ordered_exceptional_collection,
 )
 
+from anchor_literal import anchor
 from conftest import empty_braid_tables, window_arcs
 
 KINDS = (Bridging, InnerPeripheral, OuterPeripheral)
@@ -79,6 +80,20 @@ def in_folded_window(arc) -> bool:
     if type(arc) is Bridging:
         return -(s.p + 2 * s.q) < arc.j <= s.q
     return arc.is_arc()
+
+
+def kernel_key(alpha, beta):
+    """The key `exceptional._verdicts` tables two arcs' lifts under, or None;
+    `braid._anchor` must give the same key for a tabled pair."""
+    a, b, s = alpha.key(), beta.key(), alpha.surface
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exceptional, "_PAIR_CACHE", {})
+        exceptional._verdicts(a, b, s)
+        keys = list(exceptional._PAIR_CACHE)
+    assert len(keys) <= 1
+    if keys:
+        assert braid._anchor(a, b, s)[0] == keys[0]
+    return keys[0] if keys else None
 
 
 def anchored_pair(key: tuple):
@@ -124,8 +139,8 @@ class TestEquivariance:
         assert _pair_verdict(*moved) == verdict
         both = (verdict, _pair_verdict(beta, alpha))
         assert _arc_pair_verdicts(*moved) == _arc_pair_verdicts(alpha, beta) == both
-        keys = [a and a[0] for a in (_anchor(alpha, beta), _anchor(*moved))]
-        assert keys[0] == keys[1]
+        keys = [a and a[0] for a in (anchor(alpha, beta), anchor(*moved))]
+        assert keys[0] == keys[1] == kernel_key(alpha, beta) == kernel_key(*moved)
         for side in (LEFT, RIGHT):
             if verdict:
                 expected = _mutate_pair(alpha, beta, side).twisted(u, v)
@@ -173,17 +188,27 @@ class TestTables:
         # (beta, alpha).
         for key, (fwd, bwd) in exceptional._PAIR_CACHE.items():
             alpha, beta = anchored_pair(key)
-            assert _anchor(alpha, beta)[0] == key
+            assert anchor(alpha, beta)[0] == key == kernel_key(alpha, beta)
             for u, v in TWISTS:
                 moved = (alpha.twisted(u, v), beta.twisted(u, v))
                 assert _pair_verdict(*moved) == fwd
                 assert _pair_verdict(*moved[::-1]) == bwd
+        # A mutation entry is the canonical lift of the result at the
+        # anchor, read back through the lift twist.
         for (key, side), entry in braid._MUTATE_CACHE.items():
             alpha, beta = anchored_pair(key)
-            assert _anchor(alpha, beta)[0] == key
+            s = alpha.surface
+            assert anchor(alpha, beta)[0] == key == kernel_key(alpha, beta)
+            assert KINDS[entry[0]](s, *entry[1:]).key() == entry
             for u, v in TWISTS:
                 moved = (alpha.twisted(u, v), beta.twisted(u, v))
-                assert entry.twisted(u, v) == _mutate_pair(*moved, side)
+                expected = _mutate_pair(*moved, side)
+                assert _curve(braid._twisted(entry, u, v, s), s) == expected
+
+    def test_sizes_match_the_curve_tables(self, mixed_run):
+        # The curve-keyed tables these replaced ended this run holding
+        # 320 pair entries and 232 mutation entries.
+        assert (len(exceptional._PAIR_CACHE), len(braid._MUTATE_CACHE)) == (320, 232)
 
     def test_sizes_stay_within_the_bound(self, mixed_run):
         for s in MIX_SURFACES:
@@ -260,7 +285,8 @@ class TestTables:
         keys = set()
         for alpha in arcs:
             for beta in arcs:
-                anchored = _anchor(alpha, beta)
+                anchored = anchor(alpha, beta)
+                assert kernel_key(alpha, beta) == (anchored and anchored[0])
                 if anchored is not None:
                     keys.add(anchored[0])
         assert len(keys) == table_bound(s)

@@ -9,10 +9,14 @@ messages of errors.
 """
 
 import copy
+import importlib
 import pickle
+import pkgutil
+import typing
 
 import pytest
 
+import wplarcs
 from wplarcs import tilting
 from wplarcs.braid import BraidWord
 from wplarcs.core import (
@@ -204,3 +208,21 @@ def test_constructors_still_check_and_reduce():
     ):
         with pytest.raises(error):
             build()
+
+
+def test_every_class_resolves_its_type_hints():
+    # Annotations are strings (`from __future__ import annotations`), so a
+    # name a module never imports fails only when the hints are resolved.
+    classes = [
+        (module.__name__, cls)
+        for info in pkgutil.iter_modules(wplarcs.__path__)
+        for module in [importlib.import_module(f"wplarcs.{info.name}")]
+        for cls in vars(module).values()
+        if isinstance(cls, type) and cls.__module__ == module.__name__
+    ]
+    assert len(classes) > 20
+    for module, cls in classes:
+        try:
+            typing.get_type_hints(cls)
+        except NameError as err:
+            pytest.fail(f"{module}.{cls.__qualname__}: {err}")
