@@ -4,7 +4,9 @@ Left/right mutation of an exceptional pair of arcs is computed by the case
 split: identity for orthogonal pairs, the double-bridging rule for pairs
 sharing both endpoints, a boundary-connector move for pairs sharing one
 endpoint, and crossing smoothing for exceptional intersections.  Results
-are tabled up to twist and read from lifts, as in `exceptional`.
+are tabled up to twist and read from lifts, as in `exceptional`; a table
+miss tests the pair on its lifts and builds curves only to find the
+connectors or the smoothing.
 
 The braid action keeps ordered exceptional collections exceptional, so
 `apply_braid` checks its input once and applies the letters unchecked to
@@ -25,6 +27,7 @@ from .core import (
     Curve,
     Surface,
     _check_same_surface,
+    _curve,
     _set,
     _Value,
     connector,
@@ -39,17 +42,12 @@ from .errors import (
 )
 from .exceptional import (
     OrderedCollection,
-    _curve,
     _lifts,
     _ordered,
-    _pair_verdict,
+    _verdicts,
     is_ordered_exceptional_collection,
 )
-from .intersect import (
-    endpoint_relation,
-    exceptional_intersection,
-    positive_int,
-)
+from .intersect import _COUNT_RULES, endpoint_relation, exceptional_intersection
 
 LEFT = "left"
 RIGHT = "right"
@@ -102,21 +100,6 @@ def word(strands: int, *letters: int) -> BraidWord:
 # ---------------------------------------------------------------------------
 
 
-def _smooth_crossing(alpha: Curve, beta: Curve) -> Curve:
-    witness = exceptional_intersection(alpha, beta)
-    if witness is None:
-        raise InternalInvariantViolation("crossing vanished during smoothing")
-    beta_k = beta.translated(witness.offset)
-    s = alpha.surface
-    g3 = connector(s, alpha.start, beta_k.end)
-    g4 = connector(s, beta_k.start, alpha.end)
-    deg3 = g3.is_degenerate()
-    deg4 = g4.is_degenerate()
-    if deg3 == deg4:
-        raise InternalInvariantViolation("smoothing must leave exactly one arc")
-    return g4 if deg3 else g3
-
-
 # Mutations tabled up to twist, read from lifts: (anchored pair key, side) ->
 # the result's lift twisted back to the anchor; bounded as `_PAIR_CACHE` is.
 _MUTATE_CACHE: Dict[tuple, tuple] = {}
@@ -144,27 +127,33 @@ def mutate_pair(alpha: Curve, beta: Curve, side: str) -> Curve:
     return _curve(pair[0] if side == LEFT else pair[1], alpha.surface)
 
 
-def _mutate_pair(alpha: Curve, beta: Curve, side: str) -> Curve:
-    s = _check_same_surface(alpha, beta)
-    if not _pair_verdict(alpha, beta):
-        raise NotExceptional(f"({alpha!r}, {beta!r}) is not an exceptional pair")
-
-    if positive_int(alpha, beta) >= 1:
-        return _smooth_crossing(alpha, beta)
+def _mutate_pair(a: tuple, b: tuple, side: str, s: Surface) -> tuple:
+    """The lift of the left mutation of b at a, or of the right mutation of
+    a at b, for the arcs with lifts (a, b)."""
+    if not _verdicts(a, b, s)[0]:
+        raise NotExceptional(f"({_curve(a, s)!r}, {_curve(b, s)!r}) is not an exceptional pair")
+    (ka, xa, ya), (kb, xb, yb) = a, b
+    alpha, beta = _curve(a, s), _curve(b, s)
+    if _COUNT_RULES[ka, kb](xa, ya, xb, yb, s.p, s.q):
+        # Smooth the exceptional crossing: of the two connectors joining the
+        # crossing lifts' endpoints crosswise, exactly one is an arc.
+        witness = exceptional_intersection(alpha, beta)
+        if witness is None:
+            raise InternalInvariantViolation("crossing vanished during smoothing")
+        beta_k = beta.translated(witness.offset)
+        g3 = connector(s, alpha.start, beta_k.end)
+        g4 = connector(s, beta_k.start, alpha.end)
+        if g3.is_degenerate() == g4.is_degenerate():
+            raise InternalInvariantViolation("smoothing must leave exactly one arc")
+        return (g4 if g3.is_degenerate() else g3).key()
 
     rel = endpoint_relation(alpha, beta)
     if rel.shared_start and rel.shared_end:
         # Both endpoints shared: the two-dimensional Hom case.
-        if not (
-            isinstance(alpha, Bridging)
-            and isinstance(beta, Bridging)
-            and beta.i == alpha.i
-            and beta.j == alpha.j - s.q
-        ):
+        if not (ka == kb == 0 and xb == xa and yb == ya - s.q):
             raise InternalInvariantViolation("unexpected doubly-shared pair")
-        if side == LEFT:
-            return Bridging(s, alpha.i, alpha.j + s.q)
-        return Bridging(s, alpha.i + 2 * s.p, alpha.j)
+        # B(i, j + q) on the left, B(i + 2p, j) = B(i, j - 2q) on the right.
+        return (0, xa, ya + s.q) if side == LEFT else (0, xa, ya - 2 * s.q)
 
     if rel.shared_start or rel.shared_end:
         # Join the free endpoints, then widen that connector by one index:
@@ -174,11 +163,11 @@ def _mutate_pair(alpha: Curve, beta: Curve, side: str) -> Curve:
         delta = connector(s, getattr(alpha, free), getattr(beta_aligned, free))
         (b0, i0), (b1, i1) = delta.start, delta.end
         if role == "end":
-            return connector(s, (b0, i0), (b1, i1 + 1))
-        return connector(s, (b0, i0 - 1), (b1, i1))
+            return connector(s, (b0, i0), (b1, i1 + 1)).key()
+        return connector(s, (b0, i0 - 1), (b1, i1)).key()
 
     # Orthogonal: mutation fixes the arcs.
-    return beta if side == LEFT else alpha
+    return b if side == LEFT else a
 
 
 # ---------------------------------------------------------------------------
@@ -202,15 +191,15 @@ def _anchor(a: tuple, b: tuple, s: Surface) -> Tuple[tuple, int, int]:
 
 def _apply_letter(arcs: tuple, idx: int, sign: int, s: Surface) -> tuple:
     """One letter on a tuple of lifts: (a, b) becomes (L_a b, a) or (b, R_b a).
-    The mutation is read from the table up to twist; curves are built, and a
-    pair that is not exceptional raises, only on a table miss."""
+    The mutation is read from the table up to twist; `_mutate_pair` runs,
+    and a pair that is not exceptional raises, only on a table miss."""
     i = idx - 1
     a, b = arcs[i], arcs[i + 1]
     side = LEFT if sign > 0 else RIGHT
     key, u, v = _anchor(a, b, s)
     hit = _MUTATE_CACHE.get((key, side))
     if hit is None:
-        c = _mutate_pair(_curve(a, s), _curve(b, s), side).key()
+        c = _mutate_pair(a, b, side, s)
         _MUTATE_CACHE[key, side] = _twisted(c, -u, -v, s)
     else:
         c = _twisted(hit, u, v, s)

@@ -371,9 +371,9 @@ def _cmd_check(args, s: Surface) -> int:
     payload = {
         "exceptional_collection": order is not None,
         "ordered_as_given": ordered,
-        "order": [print_curve(c) for c in order] if order else None,
+        "order": None if order is None else [print_curve(c) for c in order],
     }
-    text = "exceptional collection" if order else "not an exceptional collection"
+    text = "not an exceptional collection" if order is None else "exceptional collection"
     return _emit(args, payload, text)
 
 
@@ -541,7 +541,7 @@ def main(argv=None) -> int:
     except InternalInvariantViolation as err:
         sys.stderr.write(f"internal invariant violation: {err}\n")
         return 2
-    except (WireError, WplArcsError, ValueError) as err:
+    except (WireError, WplArcsError, ValueError, OSError) as err:
         sys.stderr.write(f"error: {err}\n")
         return 1
 

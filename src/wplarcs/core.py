@@ -279,15 +279,6 @@ def _coeff_x2(x: LElt) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _lift(cls, surface: Surface, x: int, y: int):
-    """The lift (x, y) of a curve of class `cls`, not renormalised."""
-    lift = object.__new__(cls)
-    _set(lift, "surface", surface)
-    _set(lift, cls._x, x)
-    _set(lift, cls._y, y)
-    return lift
-
-
 def _field_property(expression: str, doc: str) -> property:
     # Compiled per class so that a read is a plain attribute load, as fast
     # as a hand-written property; getattr by field name is a third slower.
@@ -341,12 +332,12 @@ class _EndpointCurve(_Value):
     def translated(self, k: int):
         """This lift moved k full turns along the cover, not renormalised."""
         s = self.surface
-        x, y = self._indices(self)
-        return _lift(type(self), s, x + k * self._x_period(s), y + k * self._y_period(s))
+        kind, x, y = self.key()
+        return _curve((kind, x + k * self._x_period(s), y + k * self._y_period(s)), s)
 
     def __reduce__(self):
-        # Through `_lift`, since the constructor would renormalise a lift.
-        return _lift, (type(self), self.surface, *self._indices(self))
+        # Through `_curve`, since the constructor would renormalise a lift.
+        return _curve, (self.key(), self.surface)
 
     def twisted(self, u: int, v: int):
         """This curve under a line-bundle twist: inner indices move by u and
@@ -472,6 +463,22 @@ class Loop(_Value):
 
 Curve = Union[Bridging, InnerPeripheral, OuterPeripheral, Loop]
 Peripheral = Union[InnerPeripheral, OuterPeripheral]
+
+# A non-loop curve's lift is its `key()`, (kind, x, y): the class of each
+# kind, and the steps by which the se-shift moves x and y.
+_CURVES = (Bridging, InnerPeripheral, OuterPeripheral)
+_SE_STEPS = ((1, -1), (1, 1), (-1, -1))
+
+
+def _curve(lift: tuple, s: Surface):
+    """The curve on `s` with the lift `lift`, not renormalised."""
+    kind, x, y = lift
+    cls = _CURVES[kind]
+    curve = object.__new__(cls)
+    _set(curve, "surface", s)
+    _set(curve, cls._x, x)
+    _set(curve, cls._y, y)
+    return curve
 
 
 def is_arc(curve: Curve) -> bool:
@@ -620,11 +627,11 @@ def phi_ext(curve: Curve) -> SheafClass:
 
 
 # The one home of the sheaf-to-curve formula: each sheaf type of the
-# exceptional part -> its curve's lift, as (curve class, x, y).
+# exceptional part -> a lift (kind, x, y) of its curve, x in any turn.
 _LIFTS = {
-    LineBundle: lambda X: (Bridging, X.x.l1, -(X.x.l2 + X.x.l * X.surface.q)),
-    TorsionInf: lambda X: (InnerPeripheral, X.i - X.j - 1, X.i),
-    TorsionZero: lambda X: (OuterPeripheral, -X.i, -X.i + X.j + 1),
+    LineBundle: lambda X: (0, X.x.l1, -(X.x.l2 + X.x.l * X.surface.q)),
+    TorsionInf: lambda X: (1, X.i - X.j - 1, X.i),
+    TorsionZero: lambda X: (2, -X.i, -X.i + X.j + 1),
 }
 
 
@@ -639,8 +646,8 @@ def phi_inv(sheaf: SheafClass) -> Curve:
             if isinstance(sheaf, Zero):
                 raise OutOfScope("the zero class has no canonical curve")
             raise TypeError(f"not a sheaf class: {sheaf!r}")
-    cls, x, y = rule(sheaf)
-    return cls(sheaf.surface, x, y)
+    kind, x, y = rule(sheaf)
+    return _CURVES[kind](sheaf.surface, x, y)
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,10 @@ pair passes the pair test in at least one direction and the precedence
 digraph (edges forced by one-directional pairs) is acyclic; admissible
 orders are its topological orders.  Inside, an arc is its lift (kind, x,
 y), checked once on the way in, and a table read from two lifts gives a
-pair's verdicts both ways; curves are built only for returned arcs and on
-a table miss.  Completion is one lazy first-fit pass over every peripheral
-arc and a bridging window anchored at the collection's bridging arcs, so
-its cost does not grow with their winding.
+pair's verdicts both ways, counted on the lifts on a miss; curves are
+built only for returned arcs.  Completion is one lazy first-fit pass over
+every peripheral arc and a bridging window anchored at the collection's
+bridging arcs, so its cost does not grow with their winding.
 """
 
 from __future__ import annotations
@@ -30,8 +30,9 @@ from .core import (
     SheafClass,
     Surface,
     Zero,
+    _SE_STEPS,
     _check_same_surface,
-    _lift,
+    _curve,
     _Value,
     is_arc,
     phi_inv,
@@ -43,7 +44,7 @@ from .errors import (
     OutOfScope,
 )
 from .intersect import (
-    _shifted_count,
+    _COUNT_RULES,
     endpoint_relation,
     exceptional_intersection,
     positive_int,
@@ -62,10 +63,10 @@ class PositionClass(_Value):
 
 def is_exceptional_pair(E: SheafClass, F: SheafClass) -> bool:
     """Both objects exceptional with Hom(F, E) = 0 = Ext1(F, E), decided on
-    their curves by `_pair_verdict`."""
+    their curves by `_arc_pair_verdicts`."""
     if isinstance(E, Zero) or isinstance(F, Zero):
         return False
-    return _pair_verdict(phi_inv(E), phi_inv(F))
+    return _arc_pair_verdicts(phi_inv(E), phi_inv(F))[0]
 
 
 # Pair verdicts are tabled up to twist.  Twisting by a line bundle is an
@@ -74,12 +75,12 @@ def is_exceptional_pair(E: SheafClass, F: SheafClass) -> bool:
 # IP(a, b) -> IP(a + u, b + u), OP(a, b) -> OP(a + v, b + v); (u, v) = (p, q)
 # is the deck translation, the relation p*x1 = q*x2.  So the pair test, and
 # mutation (`braid._MUTATE_CACHE`), depend on a pair only up to a twist.  The
-# tables are read from lifts: an arc is held as its lift (kind, x, y), its
-# `key()` with x in [0, period), and `_verdicts` twists two lifts to their
-# anchor in integer arithmetic, giving the 8-int key (p, q, kind, x, y, kind,
-# x, y); a pair entry holds both orders' verdicts.  Bridging pairs more than
-# q apart fail both ways by Lemma 1 of `complete_to_maximal`; every other
-# pair anchors to one of
+# tables are read and filled from lifts: an arc is held as its lift (kind, x,
+# y), its `key()` with x in [0, period), and `_verdicts` twists two lifts to
+# their anchor in integer arithmetic, giving the 8-int key (p, q, kind, x, y,
+# kind, x, y); a pair entry holds both orders' `_verdict`.  Bridging pairs
+# more than q apart fail both ways by Lemma 1 of `complete_to_maximal`; every
+# other pair anchors to one of
 #     p(2q + 1) + p(p^2 - 1) + q(q^2 - 1) + 2(p - 1)(q - 1)
 # pairs per surface: B(0, 0) first with B(x, y), 0 <= x < p, |y| <= q, or
 # with a peripheral arc; a peripheral arc first with B(0, 0); or two
@@ -89,17 +90,16 @@ def is_exceptional_pair(E: SheafClass, F: SheafClass) -> bool:
 _PAIR_CACHE: Dict[tuple, Tuple[bool, bool]] = {}
 
 
-def _pair_verdict(alpha: Curve, beta: Curve) -> bool:
-    """(E, F) = (phi(alpha), phi(beta)) is an exceptional pair: the counts
-    are Ext^1(F, E) and, through the se-shift (Serre duality), Hom(F, E)."""
-    return alpha.is_arc() and beta.is_arc() and (
-        positive_int(beta, alpha) == 0 == _shifted_count(alpha, beta)
+def _verdict(a: tuple, b: tuple, p: int, q: int) -> bool:
+    """(E, F) = (phi(alpha), phi(beta)) is an exceptional pair, for the arcs
+    alpha, beta with lifts (a, b): Ext^1(F, E) = Int+(beta, alpha) and, by
+    Serre duality, Hom(F, E) = Int+(alpha se-shifted once, beta) vanish."""
+    (ka, xa, ya), (kb, xb, yb) = a, b
+    dx, dy = _SE_STEPS[ka]
+    return not (
+        _COUNT_RULES[kb, ka](xb, yb, xa, ya, p, q)
+        or _COUNT_RULES[ka, kb](xa + dx, ya + dy, xb, yb, p, q)
     )
-
-
-def _curve(lift: tuple, s: Surface) -> Curve:
-    """The curve on `s` whose `key()` is `lift`."""
-    return _lift((Bridging, InnerPeripheral, OuterPeripheral)[lift[0]], s, *lift[1:])
 
 
 def _lifts(arcs: Sequence[Curve]) -> Optional[Tuple[tuple, ...]]:
@@ -111,9 +111,9 @@ def _lifts(arcs: Sequence[Curve]) -> Optional[Tuple[tuple, ...]]:
 
 
 def _verdicts(a: tuple, b: tuple, s: Surface) -> Tuple[bool, bool]:
-    """`_pair_verdict` both ways on the arcs with lifts (a, b), a first,
-    tabled under the key of the pair twisted to its anchor (`braid._anchor`
-    gives the same key); curves are built only on a table miss."""
+    """`_verdict` both ways on the arcs with lifts (a, b), a first, tabled
+    under the key of the pair twisted to its anchor (`braid._anchor` gives
+    the same key)."""
     p, q = s.p, s.q
     ka, xa, ya = a
     kb, xb, yb = b
@@ -135,8 +135,7 @@ def _verdicts(a: tuple, b: tuple, s: Surface) -> Tuple[bool, bool]:
         key = (p, q, ka, 0, ya - xa, kb, x, x + yb - xb)
     hit = _PAIR_CACHE.get(key)
     if hit is None:
-        alpha, beta = _curve(a, s), _curve(b, s)
-        hit = _PAIR_CACHE[key] = _pair_verdict(alpha, beta), _pair_verdict(beta, alpha)
+        hit = _PAIR_CACHE[key] = _verdict(a, b, p, q), _verdict(b, a, p, q)
     return hit
 
 
@@ -377,10 +376,11 @@ def _bridging_pool(s: Surface, arcs: Iterable[tuple]) -> Iterable[tuple]:
 
 # Largest p + q completion admits.  Its cost grows with the pair table it
 # fills, up to p^3 + q^3 + O(pq) entries (the bound above `_PAIR_CACHE`),
-# each miss building its two curves.  On a 2-CPU x86-64 host with CPython
-# 3.11, completing B(0, 0) from an empty table takes 0.33-0.39 s and 27 MB
-# at (50, 50) and 1.1-1.3 s and 59 MB at (1, 99), the worst shape admitted;
-# at (100, 100), past the guard, 2.4-3.1 s, 104 MB and 392,108 entries.
+# each miss counted on its two lifts.  On a 2-CPU x86-64 host with CPython
+# 3.11, whose speed drifts about 1.5x between runs, completing B(0, 0) from
+# an empty table takes 0.16-0.32 s and 27 MB at (50, 50) and 0.48-0.88 s and
+# 59 MB at (1, 99), the worst shape admitted; at (100, 100), past the guard,
+# 1.4-2.4 s, 104 MB and 392,108 entries.
 MAX_COMPLETION_RANK = 100
 
 

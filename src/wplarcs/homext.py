@@ -3,9 +3,9 @@
 Extension dimensions are positive intersection numbers of the associated
 curves; morphism dimensions come from the Serre-dual intersection, the
 same count the exceptional-pair test reads.  Each entry point checks its
-inputs once and reads each sheaf's lift from `core._LIFTS`; Hom and Ext
-are counted on the lifts (`intersect._COUNT_RULES`) with no curve built,
-and only the kernel, cokernel and factor build curves, for connectors.
+inputs once and reads each sheaf's lift (kind, x, y) from `core._LIFTS`;
+Hom and Ext are counted on the lifts (`intersect._COUNT_RULES`) with no
+curve built, and only the kernel, cokernel and factor build curves.
 A purely algebraic oracle based on the graded-ring component dimensions
 and uniserial tube combinatorics cross-validates every geometric count.
 """
@@ -26,9 +26,11 @@ from .core import (
     TorsionZero,
     Zero,
     _LIFTS,
+    _SE_STEPS,
     _check_same_surface,
     _coeff_x1,
     _coeff_x2,
+    _curve,
     _set,
     _Value,
     connector,
@@ -76,17 +78,10 @@ def _in_scope(X: SheafClass, Y: SheafClass) -> Surface:
 
 
 def _sheaf_lift(X: SheafClass):
-    """X's lift (curve class, x, y): from `_LIFTS`, or read off `phi_inv(X)`
-    for a type it does not key."""
+    """X's lift (kind, x, y): from `_LIFTS`, or read off `phi_inv(X)` for a
+    type it does not key."""
     rule = _LIFTS.get(type(X))
-    if rule is not None:
-        return rule(X)
-    g = phi_inv(X)
-    return (type(g), *g._indices(g))
-
-
-# The curve of a lift, for the entry points that need connectors.
-_curve = lambda s, lift: lift[0](s, lift[1], lift[2])
+    return phi_inv(X).key() if rule is None else rule(X)
 
 
 def ext1_dim(X: SheafClass, Y: SheafClass) -> int:
@@ -102,7 +97,8 @@ def hom_dim(X: SheafClass, Y: SheafClass) -> int:
     s = _in_scope(X, Y)
     k2, x2, y2 = _sheaf_lift(Y)
     k1, x1, y1 = _sheaf_lift(X)
-    return _COUNT_RULES[k2, k1](x2 + k2._x_step, y2 + k2._y_step, x1, y1, s.p, s.q)
+    dx, dy = _SE_STEPS[k2]
+    return _COUNT_RULES[k2, k1](x2 + dx, y2 + dy, x1, y1, s.p, s.q)
 
 
 def _tube_hom_count(top_x: int, len_x: int, top_y: int, len_y: int, rank: int) -> int:
@@ -163,7 +159,8 @@ def _classify(X: SheafClass, Y: SheafClass, lift_x, lift_y, s: Surface) -> MapCl
     Ext^1(Y, X) with no curve built."""
     (k1, x1, y1), (k2, x2, y2) = lift_x, lift_y
     count = _COUNT_RULES[k2, k1]
-    if not count(x2 + k2._x_step, y2 + k2._y_step, x1, y1, s.p, s.q):
+    dx, dy = _SE_STEPS[k2]
+    if not count(x2 + dx, y2 + dy, x1, y1, s.p, s.q):
         return _NONE
     if isinstance(X, LineBundle) and isinstance(Y, LineBundle):
         # Nonzero maps of line bundles are injective regardless of
@@ -210,7 +207,7 @@ def cokernel_of_mono(X: SheafClass, Y: SheafClass) -> Tuple[SheafClass, SheafCla
     lift_x, lift_y = _sheaf_lift(X), _sheaf_lift(Y)
     if _classify(X, Y, lift_x, lift_y, s) is not _MONO:
         raise NotApplicable("cokernels are computed for proper monos only")
-    g1m, g2 = _curve(s, lift_x).se_shifted(-1), _curve(s, lift_y)
+    g1m, g2 = _curve(lift_x, s).se_shifted(-1), _curve(lift_y, s)
     k = _unique_crossing_offset(g2, g1m)
     g1m = g1m.translated(k)
     ends = connector(s, g1m.end, g2.end)
@@ -229,7 +226,7 @@ def kernel_of_epi(X: SheafClass, Y: SheafClass) -> Tuple[SheafClass, SheafClass]
     lift_x, lift_y = _sheaf_lift(X), _sheaf_lift(Y)
     if _classify(X, Y, lift_x, lift_y, s) is not _EPI:
         raise NotApplicable("kernels are computed for proper epis only")
-    g1, g2m = _curve(s, lift_x), _curve(s, lift_y).se_shifted(1)
+    g1, g2m = _curve(lift_x, s), _curve(lift_y, s).se_shifted(1)
     k = _unique_crossing_offset(g2m, g1)
     g1 = g1.translated(k)
     starts = connector(s, g1.start, g2m.start)
@@ -254,7 +251,7 @@ def epi_mono_factor(X: SheafClass, Y: SheafClass) -> SheafClass:
     if not isinstance(Y, (TorsionInf, TorsionZero)):
         raise NotApplicable("the factorization target must be tube torsion")
     lift_x, lift_y = _sheaf_lift(X), _sheaf_lift(Y)
-    g1, g2 = _curve(s, lift_x), _curve(s, lift_y)
+    g1, g2 = _curve(lift_x, s), _curve(lift_y, s)
     if not positive_int(g2.se_shifted(1), g1):
         raise NotApplicable("no nonzero morphism to factor")
     k = _unique_crossing_offset(g2, g1)

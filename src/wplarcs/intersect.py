@@ -8,8 +8,9 @@ count (all inequalities strict).
 
 The translates of c2's lift that cross c1's positively form one interval
 of offsets, so a count is a subtraction: its cost is O(1) in the answer.
-Each interval is written once (`_FORMULAS`) and compiled over curves and
-over bare lifts, so a count whose lifts are known builds no curve.
+Each interval is written once (`_FORMULAS`) and compiled per pair of lift
+kinds, on bare lifts (kind, x, y), the curves' `key()`: callers that hold
+lifts count with no curve built.
 """
 
 from __future__ import annotations
@@ -18,12 +19,14 @@ from itertools import product
 from typing import Optional, Tuple
 
 from .core import (
-    Bridging,
     Curve,
     InnerPeripheral,
     Loop,
     OuterPeripheral,
+    _CURVES,
+    _SE_STEPS,
     _check_same_surface,
+    _EndpointCurve,
     _Value,
 )
 from .errors import InternalInvariantViolation, OutOfScope
@@ -57,53 +60,58 @@ outer-bridging     c1.a-c2.j                 q  c1.b-c2.j                 q
 inner-inner        c1.a-c2.b                 p  min(c1.b-c2.b,c1.a-c2.a)  p
 outer-outer        max(c1.a-c2.a,c1.b-c2.b)  q  c1.b-c2.a                 q
 """
-_KINDS = {"bridging": Bridging, "inner": InnerPeripheral, "outer": OuterPeripheral}
-_NO_OFFSETS = lambda c1, c2, p, q: (0, -1, "")
+_KINDS = {"bridging": 0, "inner": 1, "outer": 2}
+_NO_OFFSETS = lambda x1, y1, x2, y2, p, q: (0, -1, "")
 _NO_COUNT = lambda x1, y1, x2, y2, p, q: 0
 
 
 def _compile(formulas: str):
-    """Each formula in one `eval` as a curve form (c1, c2, p, q) -> (kmin,
-    kmax, config) and a lift form (x1, y1, x2, y2, p, q) -> count, whose
-    field `c1.i` is the argument `c1_i`.  Lifts need no normalising: a turn
+    """Each formula in one `eval` as an offsets form and a count form, both
+    (x1, y1, x2, y2, p, q) -> (kmin, kmax, config) or the count, the field
+    `c1.i` being the argument `c1_i`.  Lifts need no normalising: a turn
     of either moves kmin and kmax alike.  lo // den + 1 is the least
     k > lo/den and (hi - 1) // den the greatest k < hi/den."""
     pairs, sources = [], []
     for config, lo, lo_den, hi, hi_den in map(str.split, formulas.strip().splitlines()):
         k1, k2 = map(_KINDS.get, config.split("-"))
+        c1, c2 = _CURVES[k1], _CURVES[k2]
         pairs.append((k1, k2))
-        sources.append("lambda c1, c2, p, q: ((%s) // %s + 1, (%s - 1) // %s, %r)"
-                       % (lo, lo_den, hi, hi_den, config))
-        count = "(%s - 1) // %s - (%s) // %s" % (hi, hi_den, lo, lo_den)
-        sources.append("lambda c1_%s, c1_%s, c2_%s, c2_%s, p, q: n if (n := %s) > 0 else 0"
-                       % (k1._x, k1._y, k2._x, k2._y, count.replace(".", "_")))
+        args = "c1_%s, c1_%s, c2_%s, c2_%s, p, q" % (c1._x, c1._y, c2._x, c2._y)
+        lo, hi = lo.replace(".", "_"), hi.replace(".", "_")
+        sources.append("lambda %s: ((%s) // %s + 1, (%s - 1) // %s, %r)"
+                       % (args, lo, lo_den, hi, hi_den, config))
+        sources.append("lambda %s: n if (n := (%s - 1) // %s - (%s) // %s) > 0 else 0"
+                       % (args, hi, hi_den, lo, lo_den))
     rules = iter(eval("(%s,)" % ", ".join(sources)))
-    offsets = dict.fromkeys(product(_KINDS.values(), repeat=2), _NO_OFFSETS)
+    offsets = dict.fromkeys(product(range(len(_CURVES)), repeat=2), _NO_OFFSETS)
     counts = dict.fromkeys(offsets, _NO_COUNT)
     for pair in pairs:
         offsets[pair], counts[pair] = next(rules), next(rules)
     return offsets, counts
 
 
-# The curve form and the lift form of every class pair's formula.
+# The offsets form and the count form of every kind pair's formula.
 _OFFSET_RULES, _COUNT_RULES = _compile(_FORMULAS)
+
+
+def _lift_pair(c1: Curve, c2: Curve) -> Tuple[tuple, tuple, int, int]:
+    """(c1's lift, c2's lift, p, q) for two non-loop curves on one surface;
+    OutOfScope for a loop, TypeError for a value that is not a curve."""
+    if not (isinstance(c1, _EndpointCurve) and isinstance(c2, _EndpointCurve)):
+        if isinstance(c1, Loop) or isinstance(c2, Loop):
+            raise OutOfScope("intersection numbers involving loops are out of scope")
+        raise TypeError(f"not a curve: {c2 if isinstance(c1, _EndpointCurve) else c1!r}")
+    s = c1.surface
+    if c2.surface is not s:
+        _check_same_surface(c1, c2)
+    return c1.key(), c2.key(), s.p, s.q
 
 
 def _crossing_offsets(c1: Curve, c2: Curve) -> Tuple[int, int, str]:
     """(kmin, kmax, config): c2's lift translated by k turns crosses c1's
     positively exactly for kmin <= k <= kmax (none when kmax < kmin)."""
-    try:
-        rule = _OFFSET_RULES[type(c1), type(c2)]
-    except KeyError:
-        if isinstance(c1, Loop) or isinstance(c2, Loop):
-            raise OutOfScope(
-                "intersection numbers involving loops are out of scope"
-            ) from None
-        rule = _NO_OFFSETS
-    s = c1.surface
-    if c2.surface is not s:
-        _check_same_surface(c1, c2)
-    return rule(c1, c2, s.p, s.q)
+    (k1, x1, y1), (k2, x2, y2), p, q = _lift_pair(c1, c2)
+    return _OFFSET_RULES[k1, k2](x1, y1, x2, y2, p, q)
 
 
 def positive_int(c1: Curve, c2: Curve) -> int:
@@ -111,17 +119,8 @@ def positive_int(c1: Curve, c2: Curve) -> int:
 
     The length of the offset interval: O(1) in the answer, no witnesses.
     """
-    kmin, kmax, _ = _crossing_offsets(c1, c2)
-    return kmax - kmin + 1 if kmax >= kmin else 0
-
-
-def _shifted_count(c1: Curve, c2: Curve) -> int:
-    """`positive_int(c1.se_shifted(1), c2)` on c1's lift moved by its class's
-    se-shift steps, for a pair `_crossing_offsets` accepts: no curve built."""
-    k1, s = type(c1), c1.surface
-    x1, y1 = c1._indices(c1)
-    count = _COUNT_RULES.get((k1, type(c2)), _NO_COUNT)
-    return count(x1 + k1._x_step, y1 + k1._y_step, *c2._indices(c2), s.p, s.q)
+    (k1, x1, y1), (k2, x2, y2), p, q = _lift_pair(c1, c2)
+    return _COUNT_RULES[k1, k2](x1, y1, x2, y2, p, q)
 
 
 # ---------------------------------------------------------------------------
@@ -182,16 +181,18 @@ def exceptional_intersection(alpha: Curve, beta: Curve) -> Optional[CrossingWitn
     shifted one step forward is disjoint; in that case the crossing is
     unique and alpha is peripheral.
     """
-    kmin, kmax, config = _crossing_offsets(alpha, beta)
+    (k1, x1, y1), (k2, x2, y2), p, q = _lift_pair(alpha, beta)
+    kmin, kmax, config = _OFFSET_RULES[k1, k2](x1, y1, x2, y2, p, q)
     if kmax < kmin:
         return None
-    if _shifted_count(alpha, beta) != 0:
+    dx, dy = _SE_STEPS[k1]
+    if _COUNT_RULES[k1, k2](x1 + dx, y1 + dy, x2, y2, p, q):
         return None
     if kmax != kmin:
         raise InternalInvariantViolation(
             "multiple crossings survived the shift test"
         )
-    if isinstance(alpha, Bridging):
+    if k1 == 0:
         raise InternalInvariantViolation(
             "a bridging first argument cannot carry an exceptional crossing"
         )

@@ -27,9 +27,9 @@ off the places of the pattern's arcs, and no member is built.  The
 staircases of the lattice paths are checked together, one verdict per pair
 of comparable lattice points.  The families and staircases of one census
 share one arc table (`_Verdicts`): each distinct arc is built, arc-tested
-and given its anchoring probes once, and each distinct pair is tested
-once.  `is_triangulation` and `triangulation()` remain the check on arc
-sets from outside the program.
+and given its lift and anchoring probes once, and each distinct pair is
+tested once, on the two lifts.  `is_triangulation` and `triangulation()`
+remain the check on arc sets from outside the program.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ from .errors import (
     InvalidArguments,
     NotApplicable,
 )
-from .intersect import positive_int
+from .intersect import _COUNT_RULES, positive_int
 
 
 class LatticePath(_Value):
@@ -85,9 +85,10 @@ class Triangulation(_Value):
         return sorted(self.arcs, key=lambda a: a.key())
 
 
-def _crossing(x: Curve, y: Curve) -> bool:
-    """Either arc meets the other positively."""
-    return bool(positive_int(x, y) or positive_int(y, x))
+def _crossing(a: tuple, b: tuple, p: int, q: int) -> int:
+    """Nonzero when either of the arcs with lifts a and b meets the other positively."""
+    (ka, xa, ya), (kb, xb, yb), count = a, b, _COUNT_RULES
+    return count[ka, kb](xa, ya, xb, yb, p, q) or count[kb, ka](xb, yb, xa, ya, p, q)
 
 
 def is_triangulation(surface: Surface, arcs: Iterable[Curve]) -> bool:
@@ -98,7 +99,7 @@ def is_triangulation(surface: Surface, arcs: Iterable[Curve]) -> bool:
     for a in arcs:
         if a.surface != surface or not is_arc(a):
             return False
-    return not any(_crossing(x, y) for x, y in combinations(arcs, 2))
+    return not any(positive_int(x, y) or positive_int(y, x) for x, y in combinations(arcs, 2))
 
 
 def triangulation(surface: Surface, arcs: Iterable[Curve]) -> Triangulation:
@@ -361,13 +362,15 @@ class _Verdicts:
     """The arc table of one enumeration or census, on one surface.
 
     Arcs get small int ids when first seen, and every family of the call
-    shares the facts kept under them: the arc of a lift-point join, built
-    and arc-tested once; an arc's anchoring probes, from anchor patterns
-    built once per call on its own surface; a pair's verdict.
+    shares the facts kept under them: the arc and its lift; the arc of a
+    lift-point join, built and arc-tested once; an arc's anchoring probes,
+    from anchor patterns built once per call on its own surface; a pair's
+    verdict, counted on the two lifts.
     """
 
     def __init__(self) -> None:
         self.arcs: List[Curve] = []
+        self.lifts: List[tuple] = []
         self._ids: Dict[Curve, int] = {}
         self._joins: Dict[tuple, int] = {}
         self._anchoring: Dict[int, Tuple[int, List[Tuple[int, ...]]]] = {}
@@ -379,6 +382,7 @@ class _Verdicts:
         if n is None:
             n = self._ids[arc] = len(self.arcs)
             self.arcs.append(arc)
+            self.lifts.append(arc.key())
         return n
 
     def join_ids(self, s: Surface, vertices, chords) -> List[int]:
@@ -414,18 +418,18 @@ class _Verdicts:
             self._anchoring[x] = found
         return found
 
-    def require_non_crossing(self, pairs: Iterable[Tuple[int, int]], what: str) -> None:
+    def require_non_crossing(self, s: Surface, pairs: Iterable, what: str) -> None:
         """Raise unless no pair of arcs crosses; each pair is tested once."""
         known = self._crossing
         get = known.get
-        arcs = self.arcs
+        lifts, p, q = self.lifts, s.p, s.q
         for x, y in pairs:
             crossing = get((x, y))
             if crossing is None:
-                crossing = known[x, y] = known[y, x] = _crossing(arcs[x], arcs[y])
+                crossing = known[x, y] = known[y, x] = _crossing(lifts[x], lifts[y], p, q)
             if crossing:
                 raise InternalInvariantViolation(
-                    f"{what}: {arcs[x]!r} and {arcs[y]!r} cross"
+                    f"{what}: {self.arcs[x]!r} and {self.arcs[y]!r} cross"
                 )
 
 
@@ -550,18 +554,18 @@ class _Family(_Value):
         _require_arcs(s, anchors)
         anchor_ids = [verdicts.arc_id(x) for x in anchors]
         require = verdicts.require_non_crossing
-        require(combinations(anchor_ids, 2), "two anchors cross")
+        require(s, combinations(anchor_ids, 2), "two anchors cross")
         chord_ids = []
         for vertices in polygons:
             chords, pairs = _polygon_chords(len(vertices))
             ids = verdicts.join_ids(s, vertices, chords)
-            require(product(ids, anchor_ids), "an anchor crosses a chord")
+            require(s, product(ids, anchor_ids), "an anchor crosses a chord")
             require(
-                [(ids[a], ids[b]) for a, b in pairs], "two chords of one polygon cross"
+                s, [(ids[a], ids[b]) for a, b in pairs], "two chords of one polygon cross"
             )
             chord_ids.append((chords, ids))
         (_, ids_in), (_, ids_out) = chord_ids
-        require(product(ids_in, ids_out), "chords of the two polygons cross")
+        require(s, product(ids_in, ids_out), "chords of the two polygons cross")
         places: Dict[int, _Place] = dict.fromkeys(anchor_ids)
         for polygon, (chords, ids) in enumerate(chord_ids):
             places.update(zip(ids, ((polygon, chord) for chord in chords)))
@@ -765,7 +769,7 @@ def _check_staircases(s: Surface, verdicts: _Verdicts) -> None:
     pairs = combinations(range(len(points)), 2)
     # x1 <= x2 in this order, so the pair is comparable when y1 <= y2.
     comparable = [(ids[m], ids[n]) for m, n in pairs if points[m][1] <= points[n][1]]
-    verdicts.require_non_crossing(comparable, "two arcs of one staircase cross")
+    verdicts.require_non_crossing(s, comparable, "two arcs of one staircase cross")
     if len(set(ids)) != len(points):
         raise InternalInvariantViolation("two lattice points give one staircase arc")
 

@@ -1,13 +1,15 @@
-"""The pair anchoring and the braid action on curves, as they once were.
+"""The pair test, the pair anchoring and the braid action on curves, as they once were.
 
 Kept in the tests as differential references for `wplarcs.exceptional` and
 `wplarcs.braid`, which hold each arc as its lift (kind, x, y), anchor a
 pair of lifts by integer arithmetic (`exceptional._verdicts`,
-`braid._anchor`) and build curves only for returned arcs and on a table
-miss.  Here `anchor` reads
-curve attributes and builds the anchored key arc by arc (`_anchored`), and
-`apply_braid_literal` applies each letter to curves through the untabled
-`braid._mutate_pair`.
+`braid._anchor`), count a table miss on the lifts and build curves only
+for returned arcs and for the connectors of a mutation.  Here
+`pair_verdict` counts on curves through the public `positive_int`, with
+the first curve se-shifted once; `anchor` reads curve attributes and builds
+the anchored key arc by arc (`_anchored`); `mutate_literal` is the untabled
+`braid._mutate_pair` on curves, and `apply_braid_literal` applies each
+letter to curves through it.
 
 `apply_letter` is one letter of `braid._apply_letter` on a tuple of
 curves; it looks `braid._apply_letter` up at each call, so a test that
@@ -24,8 +26,23 @@ from wplarcs.core import (
     InnerPeripheral,
     OuterPeripheral,
     _check_same_surface,
+    _curve,
 )
-from wplarcs.exceptional import _curve
+from wplarcs.intersect import positive_int
+
+
+def pair_verdict(alpha: Curve, beta: Curve) -> bool:
+    """(E, F) = (phi(alpha), phi(beta)) is an exceptional pair: the counts
+    are Ext^1(F, E) and, through the se-shift (Serre duality), Hom(F, E)."""
+    return alpha.is_arc() and beta.is_arc() and (
+        positive_int(beta, alpha) == 0 == positive_int(alpha.se_shifted(1), beta)
+    )
+
+
+def mutate_literal(alpha: Curve, beta: Curve, side: str) -> Curve:
+    """The untabled `braid._mutate_pair` on two curves of one surface."""
+    s = _check_same_surface(alpha, beta)
+    return _curve(_mutate_pair(alpha.key(), beta.key(), side, s), s)
 
 
 def _anchored(arc: Curve, u: int, v: int, p: int, q: int) -> Optional[tuple]:
@@ -92,14 +109,14 @@ def apply_letter(arcs: Sequence[Curve], idx: int, sign: int) -> tuple:
 
 
 def apply_braid_literal(arcs: Sequence[Curve], w: BraidWord) -> tuple:
-    """The letters of `w`, rightmost first, each through `_mutate_pair`."""
+    """The letters of `w`, rightmost first, each through `mutate_literal`."""
     arcs = tuple(arcs)
     for idx, sign in reversed(w.letters):
         i = idx - 1
         a, b = arcs[i], arcs[i + 1]
         if sign > 0:
-            pair = (_mutate_pair(a, b, LEFT), a)
+            pair = (mutate_literal(a, b, LEFT), a)
         else:
-            pair = (b, _mutate_pair(a, b, RIGHT))
+            pair = (b, mutate_literal(a, b, RIGHT))
         arcs = arcs[:i] + pair + arcs[i + 2 :]
     return arcs

@@ -4,10 +4,10 @@ Kept in the tests as a differential reference for
 `exceptional.complete_to_maximal`, which draws its candidates lazily, looks
 each pair up once in the twist-keyed table and orders the digraph it grew.
 This version builds both candidate pools in full and sorts them, decides
-every (member, candidate) pair by two untabled `_pair_verdict` calls, one
-per order, and orders the completed set from scratch, as `order_collection`
-then did: key-sorted arcs, the precedence digraph, and Kahn's order with the
-smallest index first.
+every (member, candidate) pair by two untabled `pair_verdict` calls on
+curves (`anchor_literal`), one per order, and orders the completed set
+from scratch, as `order_collection` then did: key-sorted arcs, the
+precedence digraph, and Kahn's order with the smallest index first.
 """
 
 import heapq
@@ -15,11 +15,13 @@ from typing import List, Optional
 
 from wplarcs.core import Bridging, Curve, InnerPeripheral, OuterPeripheral, Surface
 from wplarcs.errors import InternalInvariantViolation, NotApplicable
-from wplarcs.exceptional import ArcCollection, OrderedCollection, _pair_verdict
+from wplarcs.exceptional import ArcCollection, OrderedCollection
+
+from anchor_literal import pair_verdict
 
 
 def _pairs_ok(alpha: Curve, beta: Curve):
-    return _pair_verdict(alpha, beta), _pair_verdict(beta, alpha)
+    return pair_verdict(alpha, beta), pair_verdict(beta, alpha)
 
 
 def _precedence_edges(arcs: List[Curve]):

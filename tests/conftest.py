@@ -4,7 +4,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from wplarcs import braid, exceptional
+from wplarcs import braid, exceptional, intersect
 from wplarcs.core import Bridging, InnerPeripheral, OuterPeripheral, Surface
 from wplarcs.errors import InternalInvariantViolation
 
@@ -44,6 +44,20 @@ def empty_braid_tables(monkeypatch):
     monkeypatch.setattr(braid, "_FOLDS", [])
     for name in ("_IDS", "_STEPS", "_SHIFTS"):
         monkeypatch.setattr(braid, name, braid._Table(getattr(braid, name).fill))
+
+
+def count_kernels(monkeypatch):
+    """Records each evaluation of the count form of a crossing formula, the
+    lift kernel, as ((kind of c1, kind of c2), its arguments)."""
+    kernels = []
+    for pair, rule in intersect._COUNT_RULES.items():
+
+        def counting(*args, pair=pair, rule=rule):
+            kernels.append((pair, args))
+            return rule(*args)
+
+        monkeypatch.setitem(intersect._COUNT_RULES, pair, counting)
+    return kernels
 
 
 SMALL_SURFACES = [Surface(1, 1), Surface(1, 2), Surface(2, 2), Surface(2, 3)]

@@ -27,6 +27,8 @@ from wplarcs.core import (
     TorsionOrdinary,
     TorsionZero,
     Zero,
+    _CURVES,
+    _SE_STEPS,
     _check_same_surface,
     connector,
     phi_ext,
@@ -53,11 +55,11 @@ def phi_inv_literal(sheaf):
 
 
 def serre_lift_holds(Y) -> bool:
-    """Y's lift, moved by its curve class's se-shift steps, is a lift of
-    `phi_inv(Y).se_shifted(1)`: the Serre-dual curve `hom_dim` counts on."""
-    cls, x, y = _sheaf_lift(Y)
-    shifted = cls(Y.surface, x + cls._x_step, y + cls._y_step)
-    return shifted == phi_inv_literal(Y).se_shifted(1)
+    """Y's lift (kind, x, y), moved by its kind's se-shift steps, is a lift
+    of `phi_inv(Y).se_shifted(1)`: the Serre-dual curve `hom_dim` counts on."""
+    kind, x, y = _sheaf_lift(Y)
+    dx, dy = _SE_STEPS[kind]
+    return _CURVES[kind](Y.surface, x + dx, y + dy) == phi_inv_literal(Y).se_shifted(1)
 
 
 def require_in_scope_literal(*sheaves):

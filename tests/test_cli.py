@@ -255,6 +255,18 @@ class TestCommands:
         assert code == 0
         assert json.loads(out)["collection"] == json.loads(collection)
 
+    def test_check_of_the_empty_collection(self, capsys):
+        # The empty set is an exceptional collection, with the empty order.
+        code, out, _ = run(capsys, "--p", "2", "--q", "3", "--json", "check", "--collection", "[]")
+        assert code == 0
+        assert json.loads(out) == {
+            "exceptional_collection": True,
+            "order": [],
+            "ordered_as_given": True,
+        }
+        code, out, _ = run(capsys, "--p", "2", "--q", "3", "check", "--collection", "[]")
+        assert (code, out) == (0, "exceptional collection\n")
+
     # B(2, 3) is B(0, 0) one turn on: the same arc.
     @pytest.mark.parametrize("second", [(0, 0), (2, 3)], ids=str)
     def test_repeated_arc_is_not_a_collection(self, capsys, second):
@@ -530,6 +542,16 @@ class TestRender:
         assert stdout == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("target", ["missing/dir/x.svg", "."], ids=["missing-dir", "a-dir"])
+    def test_unwritable_out_is_one_error_line(self, tmp_path, capsys, target):
+        code, stdout, err = run(
+            capsys, "--p", "2", "--q", "3", "render",
+            "--collection", self._theta_json(),
+            "--window", "0", "1", "--out", str(tmp_path / target),
+        )
+        assert (code, stdout) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_degenerate_rejected(self, tmp_path, capsys):
         out = tmp_path / "d.svg"

@@ -31,7 +31,6 @@ from wplarcs.exceptional import (
     _arc_pair_verdicts,
     _bridging_pool,
     _can_add,
-    _pair_verdict,
     _topological_order,
     DISJOINT,
     EXCEPTIONAL_CROSSING,
@@ -58,6 +57,7 @@ from conftest import (
     window_curves,
 )
 import completion_literal
+from anchor_literal import pair_verdict
 
 S23 = Surface(2, 3)
 O = structure_sheaf(S23)
@@ -65,7 +65,7 @@ O = structure_sheaf(S23)
 
 def peripheral_pool(s: Surface) -> list:
     """Completion's peripheral pool, as curves."""
-    return [exceptional._curve(a, s) for a in exceptional._peripheral_pool(s)]
+    return [core._curve(a, s) for a in exceptional._peripheral_pool(s)]
 
 
 class TestPairs:
@@ -323,8 +323,8 @@ class TestOnePassCompletion:
         for a in bridging:
             for b in bridging:
                 if abs(a.j - b.j) > s.q:
-                    assert not _pair_verdict(a, b), (a, b)
-                elif _pair_verdict(a, b):
+                    assert not pair_verdict(a, b), (a, b)
+                elif pair_verdict(a, b):
                     pairs += 1
         assert pairs > 0
 
@@ -337,8 +337,8 @@ class TestOnePassCompletion:
             if isinstance(b, Bridging):
                 rep = Bridging(s, b.i, b.j % s.q)
                 for c in peripheral:
-                    assert _pair_verdict(b, c) == _pair_verdict(rep, c), (b, c)
-                    assert _pair_verdict(c, b) == _pair_verdict(c, rep), (b, c)
+                    assert pair_verdict(b, c) == pair_verdict(rep, c), (b, c)
+                    assert pair_verdict(c, b) == pair_verdict(c, rep), (b, c)
 
     @pytest.mark.parametrize("s", RANK_8_SURFACES, ids=str)
     def test_seeds_without_bridging_arcs(self, s):
@@ -508,7 +508,7 @@ class TestCanAdd:
             L = apply_braid(fan, word(r, *letters), validate=False)
             subset = rng.sample(L, rng.randint(1, r))
             lifts, edges = exceptional._precedence(ArcCollection.of(s, subset))
-            arcs = [exceptional._curve(a, s) for a in lifts]
+            arcs = [core._curve(a, s) for a in lifts]
             for cand in window:
                 if cand in arcs:
                     continue
@@ -542,7 +542,7 @@ class TestArcsAlone:
         for a, E in zip(arcs, sheaves):
             for b, F in zip(arcs, sheaves):
                 expected = exceptional_pair_oracle(E, F)
-                assert _pair_verdict(a, b) == expected, (a, b)
+                assert pair_verdict(a, b) == expected, (a, b)
                 assert _arc_pair_verdicts(a, b)[0] == expected, (a, b)
                 assert is_exceptional_pair(E, F) == expected, (a, b)
 

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from wplarcs import core, homext, intersect
+from wplarcs import core, homext
 from wplarcs.core import (
     Bridging,
     InnerPeripheral,
@@ -44,7 +44,13 @@ from wplarcs.homext import (
 from wplarcs.intersect import positive_int
 
 from algebra_oracle import class_additivity_holds
-from conftest import ACCEPT_SURFACES, SMALL_SURFACES, window_arcs, window_curves
+from conftest import (
+    ACCEPT_SURFACES,
+    SMALL_SURFACES,
+    count_kernels,
+    window_arcs,
+    window_curves,
+)
 from homext_literal import (
     classify_literal,
     cokernel_literal,
@@ -145,23 +151,9 @@ class TestSerreRoutes:
                 assert (p, q) == (s.p, s.q)
                 # The count ran on the Serre-dual pair: Y's curve se-shifted
                 # once, then X's curve.
-                assert k1(s, x1, y1) == phi_inv_literal(Y).se_shifted(1)
-                assert k2(s, x2, y2) == phi_inv_literal(X)
+                assert core._CURVES[k1](s, x1, y1) == phi_inv_literal(Y).se_shifted(1)
+                assert core._CURVES[k2](s, x2, y2) == phi_inv_literal(X)
                 assert dim == positive_int(phi_inv(Y).se_shifted(1), phi_inv(X))
-
-
-def count_kernels(monkeypatch):
-    """Records each evaluation of the lift form of a crossing formula as
-    ((class of c1, class of c2), its arguments)."""
-    kernels = []
-    for pair, rule in intersect._COUNT_RULES.items():
-
-        def counting(*args, pair=pair, rule=rule):
-            kernels.append((pair, args))
-            return rule(*args)
-
-        monkeypatch.setitem(intersect._COUNT_RULES, pair, counting)
-    return kernels
 
 
 class TestExceptional:
@@ -504,18 +496,19 @@ class TestLiteralRoutes:
         for name in ("_in_scope", "_sheaf_lift", "phi_inv"):
             counting(name, getattr(homext, name))
         kernels = count_kernels(monkeypatch)
-        init, lift = core._EndpointCurve.__init__, core._lift
+        init, curve = core._EndpointCurve.__init__, core._curve
 
         def built_init(self, *args):
             curves.append(type(self))
             init(self, *args)
 
-        def built_lift(*args):
-            curves.append(args[0])
-            return lift(*args)
+        def built_curve(lift, s):
+            curves.append(core._CURVES[lift[0]])
+            return curve(lift, s)
 
         monkeypatch.setattr(core._EndpointCurve, "__init__", built_init)
-        monkeypatch.setattr(core, "_lift", built_lift)
+        for module in (core, homext):
+            monkeypatch.setattr(module, "_curve", built_curve)
         one_check = ["_in_scope", "_sheaf_lift", "_sheaf_lift"]
         # The counting entry points build no curve: one kernel evaluation
         # per count, on the lifts.

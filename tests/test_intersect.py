@@ -62,6 +62,20 @@ class TestPositiveInt:
             with pytest.raises(OutOfScope):
                 positive_int(arc, Loop(S23, 1, "t"))
 
+    @pytest.mark.parametrize(
+        "entry",
+        [positive_int, intersect._crossing_offsets, exceptional_intersection],
+        ids=lambda f: f.__name__,
+    )
+    def test_non_curves_rejected(self, entry):
+        # A sheaf's `key()` is no lift: a line bundle's is a 4-tuple.
+        O = LineBundle(S23, normal_form(0, 0, 0, S23))
+        O1 = LineBundle(S23, normal_form(0, 0, 1, S23))
+        arc = Bridging(S23, 0, 0)
+        for pair in ((O, O1), (arc, O1), (O, arc), (arc, TorsionInf(S23, 0, 1)), (arc, None)):
+            with pytest.raises(TypeError, match="not a curve"):
+                entry(*pair)
+
     def test_mixed_surfaces_rejected(self):
         s34 = Surface(3, 4)
         for c1 in window_arcs(S23, turns=1):
@@ -283,67 +297,85 @@ class TestCostContract:
         assert positive_int(wide, Bridging(S23, 1, 0)) == 10**20
 
 
-CLASSES = (Bridging, InnerPeripheral, OuterPeripheral)
-PAIRS = [(k1, k2) for k1 in CLASSES for k2 in CLASSES]
+KINDS = (0, 1, 2)  # bridging, inner, outer, as `Curve.key()` numbers them
+PAIRS = [(k1, k2) for k1 in KINDS for k2 in KINDS]
 LIFT_SURFACES = [Surface(1, 1), S23, Surface(3, 4), Surface(5, 6), Surface(7, 2)]
 
 
 def random_lift(rng, kind, s):
-    """(x, y) of a lift of class `kind`, not normalised: indices up to
-    +-1e18, peripheral spans from 1 (degenerate) to past a full turn."""
-    scale = rng.choice((10, 10**4, HUGE))
-    x = rng.randint(-scale, scale)
-    if kind is Bridging:
-        return x, rng.randint(-scale, scale)
-    return x, x + rng.choice((1, 2, rng.randint(1, 3 * max(s.p, s.q)), rng.randint(1, scale)))
+    """A canonical lift (kind, x, y): x in [0, period), a bridging winding
+    within two turns, a peripheral span from 1 (degenerate) to two turns."""
+    period = core._CURVES[kind]._x_period(s)
+    x = rng.randrange(period)
+    if kind == 0:
+        return kind, x, rng.randint(-2 * s.q, 2 * s.q)
+    return kind, x, x + rng.randint(1, 2 * period)
 
 
-def deck(kind, s, x, y, turns):
-    """The lift (x, y) moved `turns` full turns along the cover."""
-    return x + turns * kind._x_period(s), y + turns * kind._y_period(s)
+def deck(lift, s, turns):
+    """The lift moved `turns` full turns along the cover."""
+    kind, x, y = lift
+    cls = core._CURVES[kind]
+    return kind, x + turns * cls._x_period(s), y + turns * cls._y_period(s)
 
 
 class TestLiftForm:
-    """The lift form of each crossing formula (`_COUNT_RULES`) against the
-    curve form (`_crossing_offsets`), on curves built from the same lifts."""
+    """Both compiled forms of each crossing formula, on lifts at any turn,
+    against the brute-force geometric count on the curves."""
 
-    def test_one_formula_per_pair_in_both_forms(self):
-        assert sorted(intersect._COUNT_RULES, key=str) == sorted(PAIRS, key=str)
-        assert sorted(intersect._OFFSET_RULES, key=str) == sorted(PAIRS, key=str)
+    def test_one_formula_per_kind_pair_in_both_forms(self):
+        for rules in (intersect._COUNT_RULES, intersect._OFFSET_RULES):
+            assert sorted(rules) == PAIRS
+            # Each form reads two lifts' (x, y), then p and q: no curve.
+            assert {rule.__code__.co_argcount for rule in rules.values()} == {6}
         never = [pair for pair in PAIRS if intersect._COUNT_RULES[pair] is intersect._NO_COUNT]
-        assert len(never) == 4
+        assert never == [(0, 1), (0, 2), (1, 2), (2, 1)]
         assert {intersect._OFFSET_RULES[pair] for pair in never} == {intersect._NO_OFFSETS}
 
-    @pytest.mark.parametrize(
-        "k1, k2", PAIRS, ids=[f"{a.__name__}-{b.__name__}" for a, b in PAIRS]
-    )
-    def test_lift_form_matches_curve_form(self, k1, k2):
+    def test_kinds_are_the_curve_keys(self):
+        for kind, cls in enumerate(core._CURVES):
+            curve = cls(S23, 1, 3)
+            assert curve.key() == (kind, 1, 3)
+            assert core._curve(curve.key(), S23) == curve
+            assert core._SE_STEPS[kind] == (cls._x_step, cls._y_step)
+        # A sheaf's lift has the kind of its curve's `key()`.
+        sheaves = (LineBundle(S23, normal_form(1, 2, 3, S23)), TorsionInf(S23, 1, 4), TorsionZero(S23, 2, 1))
+        for X in sheaves:
+            lift = core._LIFTS[type(X)](X)
+            assert lift[0] == core.phi_inv(X).key()[0]
+            assert core._CURVES[lift[0]](S23, *lift[1:]) == core.phi_inv(X)
+
+    @pytest.mark.parametrize("k1, k2", PAIRS, ids=[f"{a}-{b}" for a, b in PAIRS])
+    def test_lift_forms_match_the_brute_count(self, k1, k2):
         rng = random.Random(PAIRS.index((k1, k2)))
-        count = intersect._COUNT_RULES[k1, k2]
-        for _ in range(300):
+        count, offsets = intersect._COUNT_RULES[k1, k2], intersect._OFFSET_RULES[k1, k2]
+        for _ in range(40):
             s = rng.choice(LIFT_SURFACES)
-            (x1, y1), (x2, y2) = random_lift(rng, k1, s), random_lift(rng, k2, s)
-            kmin, kmax, _ = intersect._crossing_offsets(k1(s, x1, y1), k2(s, x2, y2))
-            want = max(0, kmax - kmin + 1)
-            # The same offsets on the lifts as given, up to one deck turn.
-            base = core._lift(k1, s, x1, y1), core._lift(k2, s, x2, y2)
-            kmin, kmax, _ = intersect._crossing_offsets(*base)
-            assert max(0, kmax - kmin + 1) == want
+            a, b = random_lift(rng, k1, s), random_lift(rng, k2, s)
+            want = brute_positive_int(core._curve(a, s), core._curve(b, s))
+            kmin, kmax, _ = offsets(*a[1:], *b[1:], s.p, s.q)
+            assert max(0, kmax - kmin + 1) == want, (s, a, b)
             for t1, t2 in ((0, 0), (1, 0), (0, -1), (-3, 7), (HUGE, -HUGE), (rng.randint(-HUGE, HUGE), 0)):
-                lift1, lift2 = deck(k1, s, x1, y1, t1), deck(k2, s, x2, y2, t2)
-                assert count(*lift1, *lift2, s.p, s.q) == want, (s, lift1, lift2)
+                a_t, b_t = deck(a, s, t1), deck(b, s, t2)
+                assert count(*a_t[1:], *b_t[1:], s.p, s.q) == want, (s, a_t, b_t)
                 # Deck turns shift the offsets, and not their number.
-                c1, c2 = core._lift(k1, s, *lift1), core._lift(k2, s, *lift2)
-                lo, hi, _ = intersect._crossing_offsets(c1, c2)
+                lo, hi, _ = offsets(*a_t[1:], *b_t[1:], s.p, s.q)
                 if want:
-                    assert (lo, hi) == (kmin + t1 - t2, kmax + t1 - t2), (s, lift1, lift2)
+                    assert (lo, hi) == (kmin + t1 - t2, kmax + t1 - t2), (s, a_t, b_t)
                 else:
-                    assert hi < lo, (s, lift1, lift2)
+                    assert hi < lo, (s, a_t, b_t)
 
     @pytest.mark.parametrize("s", ACCEPT_SURFACES, ids=str)
-    def test_shifted_count_is_the_serre_dual_count(self, s):
+    def test_se_steps_give_the_serre_dual_count(self, s):
+        # A lift moved by its kind's `_SE_STEPS` is a lift of the curve
+        # se-shifted once: the count Hom and the pair test read.
         curves = window_curves(s, turns=2, max_span_turns=2)
         curves += [Bridging(s, HUGE, -HUGE), InnerPeripheral(s, -HUGE, HUGE)]
         for a in curves:
+            kind, x, y = a.key()
+            dx, dy = core._SE_STEPS[kind]
+            assert core._CURVES[kind](s, x + dx, y + dy) == a.se_shifted(1)
             for b in curves:
-                assert intersect._shifted_count(a, b) == positive_int(a.se_shifted(1), b)
+                k2, x2, y2 = b.key()
+                shifted = intersect._COUNT_RULES[kind, k2](x + dx, y + dy, x2, y2, s.p, s.q)
+                assert shifted == positive_int(a.se_shifted(1), b)

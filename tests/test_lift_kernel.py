@@ -7,16 +7,18 @@ loops.  Only arcs reach the lift kernels (`exceptional._verdicts`,
 any table is read.
 """
 
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wplarcs import braid, exceptional
+from wplarcs import braid, core, exceptional
 from wplarcs.braid import apply_braid, canonical_theta, se_shift_collection, word
 from wplarcs.core import Bridging, InnerPeripheral, Loop, OuterPeripheral, Surface
 from wplarcs.errors import NotExceptional
-from wplarcs.exceptional import _arc_pair_verdicts, _pair_verdict
+from wplarcs.exceptional import ArcCollection, _arc_pair_verdicts
 
-from anchor_literal import anchor, apply_braid_literal
+from anchor_literal import anchor, apply_braid_literal, pair_verdict
 from conftest import empty_braid_tables
 
 SURFACES = [Surface(p, q) for p, q in ((1, 1), (1, 3), (2, 2), (2, 3), (3, 4), (4, 5))]
@@ -52,7 +54,7 @@ class TestPairKernel:
         s = data.draw(st.sampled_from(SURFACES))
         alpha, beta = data.draw(curves(s)), data.draw(curves(s))
         literal = anchor(alpha, beta)
-        both = (_pair_verdict(alpha, beta), _pair_verdict(beta, alpha))
+        both = (pair_verdict(alpha, beta), pair_verdict(beta, alpha))
         sizes = len(exceptional._PAIR_CACHE), len(braid._MUTATE_CACHE)
         assert _arc_pair_verdicts(alpha, beta) == both
         assert _arc_pair_verdicts(beta, alpha) == both[::-1]
@@ -89,8 +91,9 @@ class TestLetters:
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
     def test_long_words_match_the_letter_by_letter_route(self, data):
-        # The letters, each through the untabled `_mutate_pair` on curves,
-        # against `apply_braid`, which holds lifts and reads the table.
+        # The letters, each through the untabled `_mutate_pair` on curves
+        # (`mutate_literal`), against `apply_braid`, which holds lifts and
+        # reads the table.
         s = data.draw(st.sampled_from(SURFACES[1:]))
         r = s.rank
         start = se_shift_collection(canonical_theta(s), data.draw(FAR))
@@ -110,3 +113,61 @@ class TestLetters:
             se_shift_collection(fan, 10**18), w
         )
         assert len(braid._MUTATE_CACHE) == filled
+
+
+def built_curves(monkeypatch) -> list:
+    """Records every curve built from here on: by a class constructor
+    (`_EndpointCurve.__init__`) or from a lift (`core._curve`, at every
+    module binding)."""
+    built = []
+    init, curve = core._EndpointCurve.__init__, core._curve
+
+    def counted_init(self, *args):
+        init(self, *args)
+        built.append(self)
+
+    def counted_curve(lift, s):
+        built.append(curve(lift, s))
+        return built[-1]
+
+    monkeypatch.setattr(core._EndpointCurve, "__init__", counted_init)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("wplarcs") and getattr(module, "_curve", None) is curve:
+            monkeypatch.setattr(module, "_curve", counted_curve)
+    return built
+
+
+class TestCurvesBuilt:
+    def test_cold_completion_builds_only_the_returned_arcs(self, monkeypatch, empty_tables):
+        # Every pair-table miss is counted on the two lifts.
+        s = Surface(3, 4)
+        collection = ArcCollection.of(s, [Bridging(s, 1, 2), OuterPeripheral(s, 0, 2)])
+        built = built_curves(monkeypatch)
+        # Unwrapped: the tests' recheck orders the result again.
+        completed = exceptional.complete_to_maximal.__wrapped__(collection)
+        assert len(exceptional._PAIR_CACHE) > s.rank
+        assert len(completed) == s.rank
+        assert [id(c) for c in built] == [id(c) for c in completed]
+
+    def test_a_mutation_builds_its_pair_and_its_result(self, monkeypatch, empty_tables):
+        # A cold pair builds its two curves from their lifts, then what its
+        # case needs (two translates and two connectors at most; nothing for
+        # an orthogonal pair), then its result; a warm one only its result.
+        s = Surface(3, 4)
+        arcs = apply_braid(canonical_theta(s), word(s.rank, 1, -3, 5, 2, 4, -6))
+        built = built_curves(monkeypatch)
+        orthogonal = 0
+        for alpha, beta in zip(arcs, arcs[1:]):
+            for side in (braid.LEFT, braid.RIGHT):
+                braid._MUTATE_CACHE.clear()
+                built.clear()
+                result = braid.mutate_pair(alpha, beta, side)
+                assert built[:2] == [alpha, beta] and built[-1] is result
+                if result in (alpha, beta):
+                    orthogonal += 1
+                    assert len(built) == 3
+                assert len(built) <= 7
+                built.clear()
+                assert braid.mutate_pair(alpha, beta, side) == result
+                assert built == [result]
+        assert 0 < orthogonal < 2 * (s.rank - 1)

@@ -9,7 +9,6 @@ from wplarcs import braid, exceptional
 from wplarcs.braid import (
     LEFT,
     RIGHT,
-    _mutate_pair,
     apply_braid,
     canonical_theta,
     mutate_pair,
@@ -23,6 +22,7 @@ from wplarcs.core import (
     Loop,
     OuterPeripheral,
     Surface,
+    _curve,
     normal_form,
     phi,
     twist,
@@ -31,13 +31,11 @@ from wplarcs.errors import NotExceptional, SurfaceMismatch
 from wplarcs.exceptional import (
     ArcCollection,
     _arc_pair_verdicts,
-    _curve,
-    _pair_verdict,
     complete_to_maximal,
     is_ordered_exceptional_collection,
 )
 
-from anchor_literal import anchor
+from anchor_literal import anchor, mutate_literal, pair_verdict
 from conftest import empty_braid_tables, window_arcs
 
 KINDS = (Bridging, InnerPeripheral, OuterPeripheral)
@@ -135,16 +133,16 @@ class TestEquivariance:
         u = data.draw(st.integers(-(10**18), 10**18))
         v = data.draw(st.integers(-(10**18), 10**18))
         moved = (alpha.twisted(u, v), beta.twisted(u, v))
-        verdict = _pair_verdict(alpha, beta)
-        assert _pair_verdict(*moved) == verdict
-        both = (verdict, _pair_verdict(beta, alpha))
+        verdict = pair_verdict(alpha, beta)
+        assert pair_verdict(*moved) == verdict
+        both = (verdict, pair_verdict(beta, alpha))
         assert _arc_pair_verdicts(*moved) == _arc_pair_verdicts(alpha, beta) == both
         keys = [a and a[0] for a in (anchor(alpha, beta), anchor(*moved))]
         assert keys[0] == keys[1] == kernel_key(alpha, beta) == kernel_key(*moved)
         for side in (LEFT, RIGHT):
             if verdict:
-                expected = _mutate_pair(alpha, beta, side).twisted(u, v)
-                assert _mutate_pair(*moved, side) == expected
+                expected = mutate_literal(alpha, beta, side).twisted(u, v)
+                assert mutate_literal(*moved, side) == expected
                 assert mutate_pair(*moved, side) == expected
                 assert mutate_pair(alpha, beta, side).twisted(u, v) == expected
             else:
@@ -191,8 +189,8 @@ class TestTables:
             assert anchor(alpha, beta)[0] == key == kernel_key(alpha, beta)
             for u, v in TWISTS:
                 moved = (alpha.twisted(u, v), beta.twisted(u, v))
-                assert _pair_verdict(*moved) == fwd
-                assert _pair_verdict(*moved[::-1]) == bwd
+                assert pair_verdict(*moved) == fwd
+                assert pair_verdict(*moved[::-1]) == bwd
         # A mutation entry is the canonical lift of the result at the
         # anchor, read back through the lift twist.
         for (key, side), entry in braid._MUTATE_CACHE.items():
@@ -202,7 +200,7 @@ class TestTables:
             assert KINDS[entry[0]](s, *entry[1:]).key() == entry
             for u, v in TWISTS:
                 moved = (alpha.twisted(u, v), beta.twisted(u, v))
-                expected = _mutate_pair(*moved, side)
+                expected = mutate_literal(*moved, side)
                 assert _curve(braid._twisted(entry, u, v, s), s) == expected
 
     def test_sizes_match_the_curve_tables(self, mixed_run):
@@ -227,9 +225,9 @@ class TestTables:
         for (a, b, sign), (a2, b2) in braid._STEPS.items():
             alpha, beta = arcs[a], arcs[b]
             if sign > 0:
-                expected = (_mutate_pair(alpha, beta, LEFT), alpha)
+                expected = (mutate_literal(alpha, beta, LEFT), alpha)
             else:
-                expected = (beta, _mutate_pair(alpha, beta, RIGHT))
+                expected = (beta, mutate_literal(alpha, beta, RIGHT))
             assert (arcs[a2], arcs[b2]) == expected
         for (a, k), b in braid._SHIFTS.items():
             assert k and arcs[a].se_shifted(k) == arcs[b]
@@ -272,7 +270,7 @@ class TestTables:
         # window sees them all.
         first = Bridging(s, 0, 0)
         after = [b for b in window_arcs(s, turns=3) if isinstance(b, Bridging)]
-        assert sum(_pair_verdict(first, b) for b in after) == s.p * s.q
+        assert sum(pair_verdict(first, b) for b in after) == s.p * s.q
 
     @pytest.mark.parametrize(
         "s", [Surface(1, 1), Surface(1, 3), Surface(2, 3), Surface(3, 3), Surface(4, 5)],

@@ -18,7 +18,6 @@ from wplarcs.core import (
 from wplarcs.braid import canonical_theta
 from wplarcs import tilting
 from wplarcs.cli import main
-from wplarcs import intersect
 from wplarcs.errors import (
     InternalInvariantViolation,
     InvalidArguments,
@@ -43,9 +42,11 @@ from wplarcs.tilting import (
     tilting_to_path,
     triangulation,
 )
+from wplarcs.intersect import positive_int
 
 from bizley_literal import bizley_count_literal, bizley_count_literal_binomial
 from census_literal import census_literal, enumerate_anchored_literal
+from conftest import count_kernels
 from se_canonical_literal import scan_bound, se_canonical_literal
 
 S23 = Surface(2, 3)
@@ -172,7 +173,9 @@ class TestPathBijection:
         s = Surface(p, q)
         for a in range(-p, 2 * p):
             for b in range(-q, 2 * q):
-                assert tilting._crossing(Bridging(s, a + 1, b), Bridging(s, a, b + 1))
+                east, north = Bridging(s, a + 1, b), Bridging(s, a, b + 1)
+                assert tilting._crossing(east.key(), north.key(), p, q)
+                assert positive_int(east, north) or positive_int(north, east)
 
     @pytest.mark.parametrize("p", range(1, 5))
     @pytest.mark.parametrize("q", range(1, 5))
@@ -548,13 +551,13 @@ FAMILY_SURFACES = [
 
 
 def crossing_reported_for(monkeypatch, x, y):
-    """Patch tilting.positive_int to report that x and y cross."""
-    real = tilting.positive_int
+    """Patch the census's crossing test on lifts to report that x and y cross."""
+    real, lifts = tilting._crossing, {x.key(), y.key()}
 
-    def lying(a, b):
-        return 1 if {a, b} == {x, y} else real(a, b)
+    def lying(a, b, p, q):
+        return {a, b} == lifts or real(a, b, p, q)
 
-    monkeypatch.setattr(tilting, "positive_int", lying)
+    monkeypatch.setattr(tilting, "_crossing", lying)
 
 
 class TestFamilyValidation:
@@ -565,47 +568,55 @@ class TestFamilyValidation:
         literal = [t.arcs for t in enumerate_anchored_literal(s)]
         assert [t.arcs for t in enumerate_anchored_triangulations(s)] == literal
 
-    @pytest.mark.parametrize("p,q,most", [(3, 3, 396), (4, 4, 1_264), (10, 10, 49_900)])
+    @pytest.mark.parametrize("p,q,most", [(3, 3, 198), (4, 4, 632), (10, 10, 24_950)])
     def test_crossing_tests_per_census(self, monkeypatch, p, q, most):
-        # Checking every member and every path costs 6,600 calls at (3, 3)
-        # and 141,120 at (4, 4).  Validating each family once, with the
-        # staircases in a table of their own, cost 534, 1,616 and 58,130.
-        # One table for the census tests each distinct pair once, in both
-        # orders as no pair crosses: 2 x 198, 2 x 632 and 2 x 24,950 calls.
+        # Checking every member and every path costs 6,600 positive_int
+        # calls at (3, 3) and 141,120 at (4, 4).  Validating each family
+        # once, with the staircases in a table of their own, cost 534, 1,616
+        # and 58,130.  One table for the census tests each distinct pair
+        # once: 198, 632 and 24,950 crossing tests on lifts, each counting
+        # both orders, as no pair crosses.
         calls = collections.Counter()
-        real = tilting.positive_int
+        real = tilting._crossing
 
-        def counting(x, y):
-            calls[x, y] += 1
-            return real(x, y)
+        def counting(a, b, p, q):
+            calls[a, b] += 1
+            return real(a, b, p, q)
 
-        monkeypatch.setattr(tilting, "positive_int", counting)
+        monkeypatch.setattr(tilting, "_crossing", counting)
+        kernels = count_kernels(monkeypatch)
         census(p, q)
         assert set(calls.values()) == {1}
-        assert all(calls[y, x] for x, y in calls)
+        assert not any(calls[b, a] for a, b in calls)
         assert 0 < sum(calls.values()) <= most
+        assert len(kernels) == 2 * sum(calls.values())
+        assert {(a, b) for a, b in calls} == {
+            ((k1, *args[:2]), (k2, *args[2:4])) for (k1, k2), args in kernels[::2]
+        }
 
     def test_censuses_on_equal_surfaces_share_no_arc(self, monkeypatch):
         # Each census builds its own Surface; its anchoring probes are built
-        # on that surface too, so every crossing test takes the identity
-        # path of `_crossing_offsets` and none falls back to the full
-        # surface comparison.
-        made, fallbacks = [], []
-        real_surface, real_check = tilting.Surface, intersect._check_same_surface
+        # on that surface too, so every arc of its table lies on it and
+        # each probe look-up compares surfaces by identity.
+        made, tables = [], []
+        real_surface, real_verdicts = tilting.Surface, tilting._Verdicts
 
         def surface(p, q):
             made.append(real_surface(p, q))
             return made[-1]
 
-        def check(*values):
-            fallbacks.append(values)
-            return real_check(*values)
+        def verdicts():
+            tables.append(real_verdicts())
+            return tables[-1]
 
         monkeypatch.setattr(tilting, "Surface", surface)
-        monkeypatch.setattr(intersect, "_check_same_surface", check)
+        monkeypatch.setattr(tilting, "_Verdicts", verdicts)
         assert census(3, 3) == census(3, 3)
         assert len(made) == 2 and made[0] == made[1] and made[0] is not made[1]
-        assert fallbacks == []
+        assert len(tables) == 2
+        for s, table in zip(made, tables):
+            assert table.arcs and all(arc.surface is s for arc in table.arcs)
+            assert table.lifts == [arc.key() for arc in table.arcs]
 
     @pytest.mark.parametrize(
         "x,y,check",
