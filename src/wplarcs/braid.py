@@ -5,8 +5,8 @@ split: identity for orthogonal pairs, the double-bridging rule for pairs
 sharing both endpoints, a boundary-connector move for pairs sharing one
 endpoint, and crossing smoothing for exceptional intersections.  Results
 are tabled up to twist and read from lifts, as in `exceptional`; a table
-miss tests the pair on its lifts and builds curves only to find the
-connectors or the smoothing.
+miss decides its case and builds its result on the lifts (kind, x, y),
+with the lift helpers of `core` (`_ends`, `_join`, `_twisted`).
 
 The braid action keeps ordered exceptional collections exceptional, so
 `apply_braid` checks its input once and applies the letters unchecked to
@@ -14,8 +14,8 @@ lifts (kind, x, y); the tests check every letter near a fan.
 
 `normalize_to_theta` sends a maximal ordered collection back to the
 canonical fan by one bidirectional search over single letters on folded
-collections of arc ids, with shared tables bounded by (p, q); it reads the
-exact full-twist power off the two folds it joins, whatever the input's shift.
+collections of ids of lifts, with shared tables bounded by (p, q); it reads
+the exact full-twist power off the two folds it joins, whatever the shift.
 """
 
 from __future__ import annotations
@@ -26,11 +26,13 @@ from .core import (
     Bridging,
     Curve,
     Surface,
-    _check_same_surface,
+    _anchoring_shift,
     _curve,
+    _ends,
+    _join,
     _set,
+    _twisted,
     _Value,
-    connector,
 )
 from .errors import (
     IndexOutOfRange,
@@ -40,14 +42,8 @@ from .errors import (
     NotExceptional,
     SearchExhausted,
 )
-from .exceptional import (
-    OrderedCollection,
-    _lifts,
-    _ordered,
-    _verdicts,
-    is_ordered_exceptional_collection,
-)
-from .intersect import _COUNT_RULES, endpoint_relation, exceptional_intersection
+from .exceptional import OrderedCollection, _lifts, _ordered, _verdicts
+from .intersect import _COUNT_RULES, _OFFSET_RULES
 
 LEFT = "left"
 RIGHT = "right"
@@ -105,17 +101,6 @@ def word(strands: int, *letters: int) -> BraidWord:
 _MUTATE_CACHE: Dict[tuple, tuple] = {}
 
 
-def _twisted(lift: tuple, u: int, v: int, s: Surface) -> tuple:
-    """The lift of the arc with lift `lift` twisted by (u, v), as `Curve.twisted`."""
-    kind, x, y = lift
-    if not kind:
-        k = (x + u) // s.p
-        return 0, x + u - k * s.p, y + v - k * s.q
-    d, period = (u, s.p) if kind == 1 else (v, s.q)
-    start = (x + d) % period
-    return kind, start, start + y - x
-
-
 def mutate_pair(alpha: Curve, beta: Curve, side: str) -> Curve:
     """Left mutation of beta at alpha, or right mutation of alpha at beta."""
     if side not in (LEFT, RIGHT):
@@ -133,38 +118,39 @@ def _mutate_pair(a: tuple, b: tuple, side: str, s: Surface) -> tuple:
     if not _verdicts(a, b, s)[0]:
         raise NotExceptional(f"({_curve(a, s)!r}, {_curve(b, s)!r}) is not an exceptional pair")
     (ka, xa, ya), (kb, xb, yb) = a, b
-    alpha, beta = _curve(a, s), _curve(b, s)
     if _COUNT_RULES[ka, kb](xa, ya, xb, yb, s.p, s.q):
-        # Smooth the exceptional crossing: of the two connectors joining the
-        # crossing lifts' endpoints crosswise, exactly one is an arc.
-        witness = exceptional_intersection(alpha, beta)
-        if witness is None:
-            raise InternalInvariantViolation("crossing vanished during smoothing")
-        beta_k = beta.translated(witness.offset)
-        g3 = connector(s, alpha.start, beta_k.end)
-        g4 = connector(s, beta_k.start, alpha.end)
-        if g3.is_degenerate() == g4.is_degenerate():
+        # Smooth the exceptional crossing: of the two crosswise joins of a and
+        # of b turned by its one offset, one is an arc, one flat (span 1).
+        kmin, kmax, _ = _OFFSET_RULES[ka, kb](xa, ya, xb, yb, s.p, s.q)
+        if kmin != kmax:
+            raise InternalInvariantViolation("an exceptional crossing has one offset")
+        (start_a, end_a), (start_b, end_b) = _ends(a, s, 0), _ends(b, s, kmin)
+        g3, g4 = _join(start_a, end_b), _join(start_b, end_a)
+        flat3, flat4 = [g[0] != 0 and g[2] - g[1] == 1 for g in (g3, g4)]
+        if flat3 == flat4:
             raise InternalInvariantViolation("smoothing must leave exactly one arc")
-        return (g4 if g3.is_degenerate() else g3).key()
+        return _twisted(g4 if flat3 else g3, 0, 0, s)
 
-    rel = endpoint_relation(alpha, beta)
-    if rel.shared_start and rel.shared_end:
+    ends_a, ends_b = _ends(a, s, 0), _ends(b, s, 0)
+    shared = [
+        pa[0] == pb[0] and (pa[1] - pb[1]) % s.period(pa[0]) == 0
+        for pa, pb in zip(ends_a, ends_b)
+    ]
+    if all(shared):
         # Both endpoints shared: the two-dimensional Hom case.
         if not (ka == kb == 0 and xb == xa and yb == ya - s.q):
             raise InternalInvariantViolation("unexpected doubly-shared pair")
         # B(i, j + q) on the left, B(i + 2p, j) = B(i, j - 2q) on the right.
         return (0, xa, ya + s.q) if side == LEFT else (0, xa, ya - 2 * s.q)
 
-    if rel.shared_start or rel.shared_end:
-        # Join the free endpoints, then widen that connector by one index:
-        # past its end when the ends are shared, before its start otherwise.
-        role, free = ("start", "end") if rel.shared_start else ("end", "start")
-        beta_aligned = beta.aligned(role, getattr(alpha, role)[1])
-        delta = connector(s, getattr(alpha, free), getattr(beta_aligned, free))
-        (b0, i0), (b1, i1) = delta.start, delta.end
-        if role == "end":
-            return connector(s, (b0, i0), (b1, i1 + 1)).key()
-        return connector(s, (b0, i0 - 1), (b1, i1)).key()
+    if any(shared):
+        # Turn b to meet a at the shared point, join the free endpoints and widen
+        # the join by one index: past its end (role 1) or before its start (role 0).
+        role = shared.index(True)
+        (boundary, ia), ib = ends_a[role], ends_b[role][1]
+        turned = _ends(b, s, (ia - ib) // s.period(boundary))
+        (b0, i0), (b1, i1) = _ends(_join(ends_a[1 - role], turned[1 - role]), s, 0)
+        return _twisted(_join((b0, i0 + role - 1), (b1, i1 + role)), 0, 0, s)
 
     # Orthogonal: mutation fixes the arcs.
     return b if side == LEFT else a
@@ -295,8 +281,8 @@ MAX_NORMALIZE_LETTERS = 1_000_000
 # ---------------------------------------------------------------------------
 
 
-def _fold(arcs: tuple) -> Tuple[int, tuple]:
-    """(k, arcs se-shifted by k), k anchoring the last bridging arc.
+def _fold(arcs: tuple, s: Surface) -> Tuple[int, tuple]:
+    """(k, lifts se-shifted by k), k anchoring the last bridging arc.
 
     Every se-shift of a collection folds to the same tuple.  A maximal
     collection holds a bridging arc: an exceptional collection holds at most
@@ -304,10 +290,10 @@ def _fold(arcs: tuple) -> Tuple[int, tuple]:
     fans the last bridging arc needs a nonzero refold 4 to 12 times less
     often than the first.
     """
-    for arc in reversed(arcs):
-        if type(arc) is Bridging:
-            k = arc.anchoring_shift()[0]
-            return k, tuple([a.se_shifted(k) for a in arcs]) if k else arcs
+    for kind, x, y in reversed(arcs):
+        if not kind:
+            k = _anchoring_shift(x, y, s)[0]
+            return k, tuple([_twisted(a, k, -k, s) for a in arcs]) if k else arcs
     raise InternalInvariantViolation("a maximal collection without bridging arcs")
 
 
@@ -322,48 +308,54 @@ class _Table(dict):
         return value
 
 
-def _new_id(arc: Curve) -> int:
+def _new_id(arc: tuple) -> int:
+    s, (kind, x, y) = arc
     _ARCS.append(arc)
-    _FOLDS.append(arc.anchoring_shift()[0] if type(arc) is Bridging else None)
+    _FOLDS.append(None if kind else _anchoring_shift(x, y, s)[0])
     return len(_ARCS) - 1
 
 
 def _step(key: Tuple[int, int, int]) -> Tuple[int, int]:
-    s = _ARCS[key[0]].surface
-    pair = _apply_letter((_ARCS[key[0]].key(), _ARCS[key[1]].key()), 1, key[2], s)
-    return tuple([_IDS[_curve(a, s)] for a in pair])
+    s, a = _ARCS[key[0]]
+    pair = _apply_letter((a, _ARCS[key[1]][1]), 1, key[2], s)
+    return tuple([_IDS[s, c] for c in pair])
 
 
-# Shared by every search: arcs and their anchoring se-shifts by id, steps
-# (a, b, sign) -> (a', b') and refolds (id, k) -> id.  A folded state's last
-# bridging arc is B(0, a), -(p + q) < a <= 0, and its members pair with it, so
-# by Lemma 1 of `complete_to_maximal` they lie in a window of F = p(p + 3q) + P
+def _shift(key: Tuple[int, int]) -> int:
+    s, lift = _ARCS[key[0]]
+    return _IDS[s, _twisted(lift, key[1], -key[1], s)]
+
+
+# Shared by every search, by id: arcs as (surface, lift) and their anchoring
+# se-shifts, steps (a, b, sign) -> (a', b') and refolds (id, k) -> id.  A folded
+# state's last bridging arc is B(0, a), -(p + q) < a <= 0, and its members pair with
+# it, so by Lemma 1 of `complete_to_maximal` they lie in a window of F = p(p + 3q) + P
 # arcs: B(i, j), 0 <= i < p, -(p + 2q) < j <= q, and the P = p(p - 1) + q(q - 1)
-# peripheral ones.  A bridging arc is followed in an exceptional pair by pq
-# bridging arcs, so at most 2(p(p + 3q)(pq + 2P) + P^2) steps each add at most
-# one id, and a refold by k, a bridging id's shift, maps ids one-to-one into F.
-_ARCS: List[Curve] = []
+# peripheral ones.  A bridging arc is followed in an exceptional pair by pq bridging
+# arcs, so at most 2(p(p + 3q)(pq + 2P) + P^2) steps each add at most one id, and a
+# refold by k, a bridging id's shift, maps ids one-to-one into F.
+_ARCS: List[Tuple[Surface, tuple]] = []
 _FOLDS: List[Optional[int]] = []
 _IDS = _Table(_new_id)
 _STEPS = _Table(_step)
-_SHIFTS = _Table(lambda key: _IDS[_ARCS[key[0]].se_shifted(key[1])])
+_SHIFTS = _Table(_shift)
 
 
 def _bidirectional_search(
-    start: tuple, goal: tuple, max_depth: int, budget: int
+    start: tuple, goal: tuple, s: Surface, max_depth: int, budget: int
 ) -> Optional[Tuple[int, List[Tuple[int, int]]]]:
     """(m, letters): letters (right to left) carrying start to goal se-shifted by m.
 
-    Both sides search folded collections (`_fold`), as tuples of arc ids,
+    Both sides search folded collections of lifts on `s` (`_fold`), as ids,
     each state carrying the shift its folds applied; letters commute with
     the se-shift, so where the sides meet m is the difference of their
     shifts.  `budget` bounds the states of both sides together.
     """
-    shift, start = _fold(start)
-    goal_shift, goal = _fold(goal)
+    shift, start = _fold(start, s)
+    goal_shift, goal = _fold(goal, s)
     if start == goal:
         return goal_shift - shift, []
-    start, goal = tuple([_IDS[a] for a in start]), tuple([_IDS[a] for a in goal])
+    start, goal = tuple([_IDS[s, a] for a in start]), tuple([_IDS[s, a] for a in goal])
     # Entries: folded state -> (carried shift, letters so far, leftmost last).
     sides = ({start: (shift, [])}, {goal: (goal_shift, [])})
     # Only the last layer of a side has neighbours outside it.
@@ -423,16 +415,17 @@ def normalize_to_theta(
         raise NotApplicable(
             "normalization needs a maximal collection, got an empty one"
         )
-    s = _check_same_surface(*arcs)
+    lifts = _lifts(arcs)
+    s = arcs[0].surface
     r = s.rank
     if r > MAX_NORMALIZE_RANK:
         raise InvalidArguments(f"normalize is guarded to p + q <= {MAX_NORMALIZE_RANK}")
     if len(arcs) != r:
         raise NotApplicable(f"normalization needs a maximal collection of {r} arcs")
-    if not is_ordered_exceptional_collection(arcs):
+    if lifts is None or not _ordered(lifts, s):
         raise NotApplicable("input is not an ordered exceptional collection")
 
-    found = _bidirectional_search(arcs, canonical_theta(s), 4 * r, budget)
+    found = _bidirectional_search(lifts, _lifts(canonical_theta(s)), s, 4 * r, budget)
     if found is None:
         raise SearchExhausted("no normalizing word found within the search budget")
     m, letters = found

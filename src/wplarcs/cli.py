@@ -15,16 +15,15 @@ import sys
 from typing import TYPE_CHECKING, Any, Dict, List, Sequence
 
 from .core import (
-    Bridging,
+    INNER,
     Curve,
-    InnerPeripheral,
     LineBundle,
-    OuterPeripheral,
     SheafClass,
     Surface,
     TorsionInf,
     TorsionZero,
     Zero,
+    _CURVES,
     normal_form,
     phi,
     phi_inv,
@@ -63,30 +62,26 @@ def _int(value: Any) -> int:
     return value
 
 
+# The wire name of each lift kind; a curve's fields are its class's.
+_CURVE_KINDS = ("bridging", "inner", "outer")
+
+
 def parse_curve(s: Surface, obj: Dict[str, Any]) -> Curve:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise WireError("curve must be an object with a 'kind' field")
     kind = obj["kind"]
-    if kind == "bridging":
-        _require_fields(obj, ("kind", "i", "j"))
-        return Bridging(s, _int(obj["i"]), _int(obj["j"]))
-    if kind == "inner":
-        _require_fields(obj, ("kind", "a", "b"))
-        return InnerPeripheral(s, _int(obj["a"]), _int(obj["b"]))
-    if kind == "outer":
-        _require_fields(obj, ("kind", "a", "b"))
-        return OuterPeripheral(s, _int(obj["a"]), _int(obj["b"]))
-    raise WireError(f"unknown curve kind {kind!r}")
+    if kind not in _CURVE_KINDS:
+        raise WireError(f"unknown curve kind {kind!r}")
+    cls = _CURVES[_CURVE_KINDS.index(kind)]
+    _require_fields(obj, ("kind", cls._x, cls._y))
+    return cls(s, _int(obj[cls._x]), _int(obj[cls._y]))
 
 
 def print_curve(c: Curve) -> Dict[str, Any]:
-    if isinstance(c, Bridging):
-        return {"kind": "bridging", "i": c.i, "j": c.j}
-    if isinstance(c, InnerPeripheral):
-        return {"kind": "inner", "a": c.a, "b": c.b}
-    if isinstance(c, OuterPeripheral):
-        return {"kind": "outer", "a": c.a, "b": c.b}
-    raise WireError(f"cannot serialize {c!r}")
+    if not isinstance(c, _CURVES):
+        raise WireError(f"cannot serialize {c!r}")
+    kind, x, y = c.key()
+    return {"kind": _CURVE_KINDS[kind], c._x: x, c._y: y}
 
 
 def parse_sheaf(s: Surface, obj: Dict[str, Any]) -> SheafClass:
@@ -166,28 +161,17 @@ def _pt(x: float, y_model: float):
 
 def _arc_path(c: Curve, lift: int) -> str:
     s = c.surface
-    if isinstance(c, Bridging):
-        x0, y0 = (c.j + lift * s.q) / s.q, 0.0
-        x1, y1 = (c.i + lift * s.p) / s.p, 1.0
-        depth = 0.5
-        ax, ay = _pt(x0, y0)
-        bx, by = _pt(x1, y1)
-        c1 = _pt(x0, depth)
-        c2 = _pt(x1, depth)
-    elif isinstance(c, InnerPeripheral):
-        x0 = (c.a + lift * s.p) / s.p
-        x1 = (c.b + lift * s.p) / s.p
-        dip = 1.0 - min(0.8, 0.25 * (x1 - x0) + 0.15)
-        ax, ay = _pt(x0, 1.0)
-        bx, by = _pt(x1, 1.0)
-        c1 = _pt(x0 + (x1 - x0) / 4.0, dip)
-        c2 = _pt(x1 - (x1 - x0) / 4.0, dip)
-    else:
-        x0 = (c.a + lift * s.q) / s.q
-        x1 = (c.b + lift * s.q) / s.q
-        dip = min(0.8, 0.25 * (x1 - x0) + 0.15)
-        ax, ay = _pt(x0, 0.0)
-        bx, by = _pt(x1, 0.0)
+    (b0, i0), (b1, i1) = c.start, c.end
+    n0, n1 = s.period(b0), s.period(b1)
+    x0, x1 = (i0 + lift * n0) / n0, (i1 + lift * n1) / n1
+    y0, y1 = float(b0 == INNER), float(b1 == INNER)
+    ax, ay = _pt(x0, y0)
+    bx, by = _pt(x1, y1)
+    if b0 != b1:  # bridging, from the outer boundary up
+        c1 = _pt(x0, 0.5)
+        c2 = _pt(x1, 0.5)
+    else:  # peripheral: the controls dip away from its boundary
+        dip = abs(y0 - min(0.8, 0.25 * (x1 - x0) + 0.15))
         c1 = _pt(x0 + (x1 - x0) / 4.0, dip)
         c2 = _pt(x1 - (x1 - x0) / 4.0, dip)
     return (

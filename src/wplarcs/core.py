@@ -12,6 +12,8 @@ boundary to the inner one, peripheral curves along one boundary from the
 lower index to the higher.  One move rule serves every class: a move steps
 one endpoint +1 on the inner boundary and -1 on the outer one, and the
 se-shift (Serre duality on the sheaf side) moves both endpoints at once.
+The layers above hold a curve as its lift (kind, x, y), its `key()`: the
+lift twist, ends and joins live here (`_twisted`, `_ends`, `_join`).
 
 Isomorphism classes of indecomposable sheaves over the weighted projective
 line of the same type are encoded by :class:`SheafClass` values; the
@@ -303,12 +305,8 @@ class _EndpointCurve(_Value):
         x, y = [name for name in cls.__slots__ if name != "surface"]
         boundary = {field: b for b, field in (start, end)}
         cls._x, cls._y = x, y
-        cls._indices = attrgetter(x, y)
         cls._x_period = attrgetter(_PERIOD_FIELD[boundary[x]])
         cls._y_period = attrgetter(_PERIOD_FIELD[boundary[y]])
-        cls._x_step = 1 if boundary[x] == INNER else -1
-        cls._y_step = 1 if boundary[y] == INNER else -1
-        cls._start_is_x = start[1] == x
         cls._peripheral = start[0] == end[0]
         for role, (b, field) in (("start", start), ("end", end)):
             doc = f"The {role} point of this lift as (boundary, index)."
@@ -342,31 +340,20 @@ class _EndpointCurve(_Value):
     def twisted(self, u: int, v: int):
         """This curve under a line-bundle twist: inner indices move by u and
         outer ones by v; (u, v) = (p, q) is the deck translation."""
-        x, y = self._indices(self)
-        return type(self)(
-            self.surface,
-            x + (u if self._x_step > 0 else v),
-            y + (u if self._y_step > 0 else v),
-        )
-
-    def aligned(self, role: str, index: int):
-        """The lift whose start or end (`role`) index is `index`, when congruent.
-
-        Otherwise the lift whose index is the largest one below `index`.
-        """
-        boundary, own = getattr(self, role)
-        return self.translated((index - own) // self.surface.period(boundary))
+        return _curve(_twisted(self.key(), u, v, self.surface), self.surface)
 
     def _moved(self, start_steps: int, end_steps: int):
-        dx, dy = (start_steps, end_steps) if self._start_is_x else (end_steps, start_steps)
-        x, y = self._indices(self)
-        return type(self)(self.surface, x + dx * self._x_step, y + dy * self._y_step)
+        kind, x, y = self.key()
+        dx, dy = _SE_STEPS[kind]
+        if not kind:  # a bridging curve starts at y
+            start_steps, end_steps = end_steps, start_steps
+        return type(self)(self.surface, x + start_steps * dx, y + end_steps * dy)
 
     def se_shifted(self, k: int):
         """The simultaneous start/end move applied k times; k < 0 undoes it."""
         if not k:
             return self
-        return self._moved(k, k)
+        return _curve(_twisted(self.key(), k, -k, self.surface), self.surface)
 
     def is_arc(self) -> bool:
         return not self._peripheral or 2 <= self.span <= self._x_period(self.surface)
@@ -387,14 +374,8 @@ class Bridging(_EndpointCurve, start=(OUTER, "j"), end=(INNER, "i")):
         return (0, self.i, self.j)
 
     def anchoring_shift(self) -> Tuple[int, int]:
-        """(k, a): the se-shift by k takes this arc to B(0, a), -(p + q) < a <= 0.
-
-        The se-shift by k takes the lift (i, j) to (i + k, j - k), keeping
-        n = i + j; so k = m*p - i with m = ceil(n / (p + q)).
-        """
-        s, n = self.surface, self.i + self.j
-        m = -(-n // (s.p + s.q))
-        return m * s.p - self.i, n - m * (s.p + s.q)
+        """(k, a): the se-shift by k takes this arc to B(0, a), -(p + q) < a <= 0."""
+        return _anchoring_shift(self.i, self.j, self.surface)
 
     def __repr__(self) -> str:
         return f"B({self.i},{self.j})"
@@ -481,8 +462,51 @@ def _curve(lift: tuple, s: Surface):
     return curve
 
 
+def _twisted(lift: tuple, u: int, v: int, s: Surface) -> tuple:
+    """The canonical lift of the curve with lift `lift` twisted by (u, v):
+    inner indices move by u, outer ones by v.  The se-shift by k is the
+    twist by (k, -k), and (0, 0) only normalises."""
+    kind, x, y = lift
+    if not kind:
+        k = (x + u) // s.p
+        return 0, x + u - k * s.p, y + v - k * s.q
+    d, period = (u, s.p) if kind == 1 else (v, s.q)
+    start = (x + d) % period
+    return kind, start, start + y - x
+
+
+def _anchoring_shift(i: int, j: int, s: Surface) -> Tuple[int, int]:
+    """(k, a): the se-shift by k, taking (i, j) to (i + k, j - k), takes
+    B(i, j) to B(0, a), -(p + q) < a <= 0: k = m*p - i, m = ceil((i + j) / (p + q))."""
+    n = i + j
+    m = -(-n // (s.p + s.q))
+    return m * s.p - i, n - m * (s.p + s.q)
+
+
+def _ends(lift: tuple, s: Surface, turns: int) -> tuple:
+    """(start, end) of `lift` moved `turns` full turns, as `Curve.start`/`.end` give them."""
+    kind, x, y = lift
+    if not kind:
+        return (OUTER, y + turns * s.q), (INNER, x + turns * s.p)
+    boundary, period = (INNER, s.p) if kind == 1 else (OUTER, s.q)
+    return (boundary, x + turns * period), (boundary, y + turns * period)
+
+
+def _join(p1, p2) -> tuple:
+    """The lift of `connector(s, p1, p2)`, not normalised."""
+    (b1, i1), (b2, i2) = p1, p2
+    if b1 != b2:
+        return (0, i1, i2) if b1 == INNER else (0, i2, i1)
+    if i1 == i2:
+        raise InternalInvariantViolation("connector endpoints coincide")
+    return 1 if b1 == INNER else 2, min(i1, i2), max(i1, i2)
+
+
 def is_arc(curve: Curve) -> bool:
-    return curve.is_arc()
+    try:
+        return curve.is_arc()
+    except AttributeError:
+        raise TypeError(f"not a curve: {curve!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -683,13 +707,7 @@ def connector(surface: Surface, p1, p2) -> Curve:
     Two points on one boundary give the peripheral curve from the lower
     index to the higher; an inner and an outer point give the bridging curve.
     """
-    (b1, i1), (b2, i2) = p1, p2
-    if b1 != b2:
-        return Bridging(surface, i1, i2) if b1 == INNER else Bridging(surface, i2, i1)
-    if i1 == i2:
-        raise InternalInvariantViolation("connector endpoints coincide")
-    cls = InnerPeripheral if b1 == INNER else OuterPeripheral
-    return cls(surface, min(i1, i2), max(i1, i2))
+    return _curve(_twisted(_join(p1, p2), 0, 0, surface), surface)
 
 
 # ---------------------------------------------------------------------------

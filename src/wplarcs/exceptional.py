@@ -103,11 +103,16 @@ def _verdict(a: tuple, b: tuple, p: int, q: int) -> bool:
 
 
 def _lifts(arcs: Sequence[Curve]) -> Optional[Tuple[tuple, ...]]:
-    """The lifts of `arcs`, each arc checked once: SurfaceMismatch when two
-    lie on different surfaces, None when one is not an arc."""
-    if arcs:
-        _check_same_surface(*arcs)
-    return tuple([a.key() for a in arcs]) if all(a.is_arc() for a in arcs) else None
+    """The lifts of `arcs`, each checked once: SurfaceMismatch for mixed
+    surfaces, None when one is not an arc, TypeError when one is no curve."""
+    try:
+        if arcs:
+            _check_same_surface(*arcs)
+        return tuple([a.key() for a in arcs]) if all(a.is_arc() for a in arcs) else None
+    except AttributeError:
+        for a in arcs:
+            is_arc(a)  # TypeError at the first value that is not a curve
+        raise
 
 
 def _verdicts(a: tuple, b: tuple, s: Surface) -> Tuple[bool, bool]:

@@ -163,7 +163,7 @@ def endpoint_relation(alpha: Curve, beta: Curve) -> EndpointRelation:
         bb, ib = getattr(beta, role)
         shared[role] = ba == bb and (ia - ib) % s.period(ba) == 0
         if shared[role]:
-            beta_aligned = beta.aligned(role, ia)
+            beta_aligned = beta.translated((ia - ib) // s.period(ba))
             if _germ_key(beta_aligned, role) <= _germ_key(alpha, role):
                 follows = False
     return EndpointRelation(shared["start"], shared["end"], follows)

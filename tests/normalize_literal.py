@@ -7,7 +7,8 @@ whole budget.  That search expands every state of a side in each round.
 
 `curve_keyed_search` is `braid._bidirectional_search` before it ran on arc
 ids: the same folded search, with states of curves keyed by their `key()`
-tuples and every letter applied to the whole collection.
+tuples, every letter applied to the whole collection and each fold
+(`_fold`) made by se-shifting curves.
 
 Letters are applied through `anchor_literal.apply_letter`, which looks
 `braid._apply_letter` up at each call, so a test that patches it counts
@@ -17,23 +18,25 @@ these searches' letters too.
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from wplarcs.braid import (
-    BraidWord,
-    _check_same_surface,
-    _fold,
-    canonical_theta,
-    full_twist_word,
-    is_ordered_exceptional_collection,
-    se_shift_collection,
-)
-from wplarcs.core import Bridging, Curve, Surface
-from wplarcs.errors import NotApplicable, SearchExhausted
+from wplarcs.braid import BraidWord, canonical_theta, full_twist_word, se_shift_collection
+from wplarcs.core import Bridging, Curve, Surface, _check_same_surface
+from wplarcs.errors import InternalInvariantViolation, NotApplicable, SearchExhausted
+from wplarcs.exceptional import is_ordered_exceptional_collection
 
 from anchor_literal import apply_letter
 
 
 def _state_key(arcs: Sequence[Curve]) -> tuple:
     return tuple([a.key() for a in arcs])
+
+
+def _fold(arcs: tuple) -> Tuple[int, tuple]:
+    """(k, arcs se-shifted by k), k anchoring the last bridging arc, on curves."""
+    for arc in reversed(arcs):
+        if type(arc) is Bridging:
+            k = arc.anchoring_shift()[0]
+            return k, tuple([a.se_shifted(k) for a in arcs]) if k else arcs
+    raise InternalInvariantViolation("a maximal collection without bridging arcs")
 
 
 def _compose_power(w: BraidWord, n: int) -> BraidWord:

@@ -7,10 +7,14 @@ from wplarcs import braid
 from wplarcs.core import (
     Bridging,
     InnerPeripheral,
+    Loop,
     OuterPeripheral,
     Surface,
+    canonical,
+    line_bundle,
     move,
     phi,
+    structure_sheaf,
 )
 from wplarcs.braid import (
     BraidWord,
@@ -24,7 +28,7 @@ from wplarcs.braid import (
     theta,
     word,
 )
-from wplarcs.errors import IndexOutOfRange, InvalidArguments, NotExceptional
+from wplarcs.errors import IndexOutOfRange, InvalidArguments, NotApplicable, NotExceptional
 from wplarcs.exceptional import (
     is_exceptional_pair,
     is_ordered_exceptional_collection,
@@ -35,6 +39,7 @@ from wplarcs.exceptional import (
 from anchor_literal import apply_letter
 from conftest import ACCEPT_SURFACES, empty_braid_tables, window_arcs
 from normalize_literal import _compose_power, curve_keyed_search, normalize_literal
+from normalize_literal import _fold as fold_literal
 from algebra_oracle import (
     algebraic_left_mutation,
     algebraic_right_mutation,
@@ -491,6 +496,15 @@ def _scrambled(s, rng, max_letters=10, max_shift=9):
     return apply_braid(L, word(s.rank, *letters), validate=False)
 
 
+def _keys(arcs):
+    return tuple([a.key() for a in arcs])
+
+
+def _search(start, goal, depth, budget):
+    """`braid._bidirectional_search` from one collection of curves to another."""
+    return braid._bidirectional_search(_keys(start), _keys(goal), start[0].surface, depth, budget)
+
+
 class TestNormalizeWordAssembly:
     """The answer is (full twist)^m then the search letters, in one word."""
 
@@ -512,7 +526,7 @@ class TestNormalizeWordAssembly:
         L = se_shift_collection(canonical_theta(s), data.draw(st.integers(-10, 10)))
         signed = st.integers(1, r - 1).flatmap(lambda i: st.sampled_from([i, -i]))
         L = apply_braid(L, word(r, *data.draw(st.lists(signed, max_size=4))))
-        m, letters = braid._bidirectional_search(L, canonical_theta(s), 4 * r, 10**6)
+        m, letters = _search(L, canonical_theta(s), 4 * r, 10**6)
         expected = _compose_power(full_twist_word(s), m) * BraidWord(r, tuple(letters))
         assert normalize_to_theta(L) == expected
         assert apply_braid(L, expected, validate=False) == canonical_theta(s)
@@ -536,15 +550,17 @@ class TestFold:
         rng = random.Random(41)
         for _ in range(6):
             L = _scrambled(s, rng)
-            k, folded = braid._fold(L)
-            assert folded == se_shift_collection(L, k)
-            assert braid._fold(folded) == (0, folded)
+            k, folded = braid._fold(_keys(L), s)
+            assert folded == _keys(se_shift_collection(L, k))
+            # The fold on curves it replaced.
+            assert (k, folded) == (fold_literal(L)[0], _keys(fold_literal(L)[1]))
+            assert braid._fold(folded, s) == (0, folded)
             for t in (1, -3, 10**18, -(10**18), rng.randint(-(10**18), 10**18)):
-                assert braid._fold(se_shift_collection(L, t)) == (k - t, folded)
+                assert braid._fold(_keys(se_shift_collection(L, t)), s) == (k - t, folded)
 
     def test_no_shift_returns_the_input(self):
-        _, folded = braid._fold(se_shift_collection(canonical_theta(S23), 7))
-        assert braid._fold(folded)[1] is folded
+        _, folded = braid._fold(_keys(se_shift_collection(canonical_theta(S23), 7)), S23)
+        assert braid._fold(folded, S23)[1] is folded
 
     @pytest.mark.parametrize("s", FOLD_SURFACES, ids=str)
     def test_letters_commute_with_the_se_shift(self, s):
@@ -591,7 +607,7 @@ class TestNormalizeFolded:
                 empty_braid_tables(monkeypatch)
                 calls[0] = 0
                 shifted = se_shift_collection(L, t)
-                found.append(braid._bidirectional_search(shifted, th, 4 * s.rank, 10**6))
+                found.append(_search(shifted, th, 4 * s.rank, 10**6))
                 counts.append(calls[0])
             (m0, letters0), (m1, letters1) = found
             assert counts[0] == counts[1]
@@ -599,7 +615,7 @@ class TestNormalizeFolded:
             # Warm, a search at another shift meets only tabled steps.
             calls[0] = 0
             far = se_shift_collection(L, -(10**18))
-            again = braid._bidirectional_search(far, th, 4 * s.rank, 10**6)
+            again = _search(far, th, 4 * s.rank, 10**6)
             assert again == (m0 - 10**18, letters0) and calls[0] == 0
             # normalize_to_theta makes the same search, then refuses the
             # word of 10**6 full twists.
@@ -645,7 +661,7 @@ class TestIdSearch:
         with pytest.MonkeyPatch.context() as mp:
             if data.draw(st.booleans(), label="empty tables"):
                 empty_braid_tables(mp)
-            found = braid._bidirectional_search(L, goal, 4 * r, budget)
+            found = _search(L, goal, 4 * r, budget)
         assert found == curve_keyed_search(L, goal, 4 * r, budget)
 
     @pytest.mark.parametrize("s", DIFFERENTIAL_SURFACES, ids=str)
@@ -655,7 +671,7 @@ class TestIdSearch:
         for _ in range(40):
             L = _scrambled(s, rng, max_letters=5, max_shift=10**18)
             for budget in (10**6, 50):
-                found = braid._bidirectional_search(L, goal, depth, budget)
+                found = _search(L, goal, depth, budget)
                 assert found == curve_keyed_search(L, goal, depth, budget), L
 
     def test_some_inputs_use_up_a_small_budget(self):
@@ -663,7 +679,7 @@ class TestIdSearch:
         s = Surface(4, 5)
         L = apply_braid(canonical_theta(s), word(s.rank, 3, -7, 5, 1, -8))
         for budget in (1, 50):
-            assert braid._bidirectional_search(L, canonical_theta(s), 36, budget) is None
+            assert _search(L, canonical_theta(s), 36, budget) is None
             assert curve_keyed_search(L, canonical_theta(s), 36, budget) is None
 
 
@@ -689,10 +705,48 @@ class TestNormalizeGuard:
         ],
     )
     def test_refused_above_the_rank_bound_before_any_work(self, monkeypatch, p, q, refused):
-        def started(arcs):
+        def started(lifts, s):
             raise RuntimeError("normalisation started")
 
-        monkeypatch.setattr(braid, "is_ordered_exceptional_collection", started)
+        monkeypatch.setattr(braid, "_ordered", started)
         s = Surface(p, q)
         with pytest.raises(InvalidArguments if refused else RuntimeError):
             normalize_to_theta(canonical_theta(s))
+
+
+class TestNotACurve:
+    """A value that is not a curve is refused with TypeError at each entry."""
+
+    O, O1 = structure_sheaf(S23), line_bundle(S23, canonical(S23))
+
+    def test_ordered_collection_check(self):
+        with pytest.raises(TypeError, match=r"^not a curve: O\(0,0,0\)$"):
+            is_ordered_exceptional_collection([self.O, self.O1])
+        with pytest.raises(TypeError, match="not a curve"):
+            is_ordered_exceptional_collection([Bridging(S23, 0, 0), self.O1])
+        # A loop is a curve but no arc.
+        assert not is_ordered_exceptional_collection([Loop(S23, 1, "t")])
+
+    def test_apply_braid(self):
+        with pytest.raises(TypeError, match="not a curve"):
+            apply_braid([self.O, self.O1], word(2, 1))
+        with pytest.raises(NotExceptional):
+            apply_braid([Loop(S23, 1, "t"), Bridging(S23, 0, 0)], word(2, 1))
+
+    def test_mutate_pair(self):
+        with pytest.raises(TypeError, match="not a curve"):
+            mutate_pair(self.O, self.O1, "left")
+        with pytest.raises(NotExceptional):
+            mutate_pair(Bridging(S23, 0, 0), Loop(S23, 1, "t"), "left")
+
+    def test_normalize_to_theta(self):
+        with pytest.raises(TypeError, match="not a curve"):
+            normalize_to_theta([self.O] * S23.rank)
+        with pytest.raises(NotApplicable):
+            normalize_to_theta(canonical_theta(S23)[:-1] + (Loop(S23, 1, "t"),))
+
+    def test_arc_collection(self):
+        with pytest.raises(TypeError, match=r"^not a curve: O\(0,0,0\)$"):
+            ArcCollection.of(S23, [self.O])
+        with pytest.raises(NotApplicable, match="is not an arc"):
+            ArcCollection.of(S23, [Loop(S23, 1, "t")])

@@ -37,6 +37,7 @@ from wplarcs.core import (
     x1,
     x2,
     zero,
+    _ends,
 )
 from wplarcs.errors import (
     InternalInvariantViolation,
@@ -271,8 +272,7 @@ class TestEndpointModel:
                 lift = c.translated(k1)
                 assert lift.translated(-k1) == c
                 assert type(c)(s, *_fields(lift)) == c
-                assert lift.aligned("start", c.start[1]) == c
-                assert lift.aligned("end", c.end[1]) == c
+                assert _ends(c.key(), s, k1) == (lift.start, lift.end)
 
     @pytest.mark.parametrize("s", ACCEPT_SURFACES + [Surface(4, 5)], ids=str)
     def test_anchoring_shift(self, s):

@@ -5,6 +5,7 @@ import pytest
 
 from wplarcs import core, intersect
 from wplarcs.core import (
+    INNER,
     Bridging,
     InnerPeripheral,
     LineBundle,
@@ -337,7 +338,11 @@ class TestLiftForm:
             curve = cls(S23, 1, 3)
             assert curve.key() == (kind, 1, 3)
             assert core._curve(curve.key(), S23) == curve
-            assert core._SE_STEPS[kind] == (cls._x_step, cls._y_step)
+            # The se-step moves both points +1 on the inner boundary and -1
+            # on the outer one.
+            dx, dy = core._SE_STEPS[kind]
+            stepped = core._ends((kind, 1 + dx, 3 + dy), S23, 0)
+            assert stepped == tuple((b, i + (1 if b == INNER else -1)) for b, i in (curve.start, curve.end))
         # A sheaf's lift has the kind of its curve's `key()`.
         sheaves = (LineBundle(S23, normal_form(1, 2, 3, S23)), TorsionInf(S23, 1, 4), TorsionZero(S23, 2, 1))
         for X in sheaves:

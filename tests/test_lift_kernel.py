@@ -18,7 +18,7 @@ from wplarcs.core import Bridging, InnerPeripheral, Loop, OuterPeripheral, Surfa
 from wplarcs.errors import NotExceptional
 from wplarcs.exceptional import ArcCollection, _arc_pair_verdicts
 
-from anchor_literal import anchor, apply_braid_literal, pair_verdict
+from anchor_literal import anchor, anchored_pairs, apply_braid_literal, mutate_literal, pair_verdict
 from conftest import empty_braid_tables
 
 SURFACES = [Surface(p, q) for p, q in ((1, 1), (1, 3), (2, 2), (2, 3), (3, 4), (4, 5))]
@@ -83,8 +83,32 @@ class TestPairKernel:
         s = data.draw(st.sampled_from(SURFACES))
         curve = data.draw(curves(s).filter(lambda c: not isinstance(c, Loop)))
         u, v = data.draw(FAR), data.draw(FAR)
-        assert braid._twisted(curve.key(), u, v, s) == curve.twisted(u, v).key()
-        assert braid._twisted(curve.key(), s.p, s.q, s) == curve.key()
+        # Inner indices move by u, outer ones by v, through the constructor.
+        kind, x, y = curve.key()
+        dx, dy = {0: (u, v), 1: (u, u), 2: (v, v)}[kind]
+        twisted = type(curve)(s, x + dx, y + dy)
+        assert core._twisted(curve.key(), u, v, s) == twisted.key()
+        assert curve.twisted(u, v) == twisted
+        assert core._twisted(curve.key(), s.p, s.q, s) == curve.key()
+
+
+EXHAUSTIVE_SURFACES = [Surface(p, q) for p in range(1, 9) for q in range(1, 10 - p)]
+
+
+class TestMutationExhaustive:
+    @pytest.mark.parametrize("s", EXHAUSTIVE_SURFACES, ids=str)
+    def test_every_anchored_pair_matches_the_curve_route(self, s):
+        # Mutation commutes with twists, so the anchored pairs stand for
+        # every exceptional pair on the surface.
+        checked = 0
+        for alpha, beta in anchored_pairs(s):
+            if not pair_verdict(alpha, beta):
+                continue
+            for side in (braid.LEFT, braid.RIGHT):
+                lift = braid._mutate_pair(alpha.key(), beta.key(), side, s)
+                assert core._curve(lift, s) == mutate_literal(alpha, beta, side), (alpha, beta, side)
+                checked += 1
+        assert checked > 0
 
 
 class TestLetters:
@@ -149,10 +173,9 @@ class TestCurvesBuilt:
         assert len(completed) == s.rank
         assert [id(c) for c in built] == [id(c) for c in completed]
 
-    def test_a_mutation_builds_its_pair_and_its_result(self, monkeypatch, empty_tables):
-        # A cold pair builds its two curves from their lifts, then what its
-        # case needs (two translates and two connectors at most; nothing for
-        # an orthogonal pair), then its result; a warm one only its result.
+    def test_a_mutation_builds_only_its_result(self, monkeypatch, empty_tables):
+        # A cold pair is decided and mutated on its lifts: the one curve
+        # built is the result, cold or warm.
         s = Surface(3, 4)
         arcs = apply_braid(canonical_theta(s), word(s.rank, 1, -3, 5, 2, 4, -6))
         built = built_curves(monkeypatch)
@@ -162,12 +185,21 @@ class TestCurvesBuilt:
                 braid._MUTATE_CACHE.clear()
                 built.clear()
                 result = braid.mutate_pair(alpha, beta, side)
-                assert built[:2] == [alpha, beta] and built[-1] is result
-                if result in (alpha, beta):
-                    orthogonal += 1
-                    assert len(built) == 3
-                assert len(built) <= 7
+                assert len(braid._MUTATE_CACHE) == 1 and built == [result]
+                assert [id(c) for c in built] == [id(result)]
+                orthogonal += result in (alpha, beta)
                 built.clear()
                 assert braid.mutate_pair(alpha, beta, side) == result
                 assert built == [result]
         assert 0 < orthogonal < 2 * (s.rank - 1)
+
+    def test_a_search_step_builds_no_curve(self, monkeypatch, empty_tables):
+        # Step-table misses apply a letter to two ids' lifts and look the
+        # results' ids up by lift; only the goal fan is built as curves.
+        s = Surface(3, 4)
+        fan = canonical_theta(s)
+        start = apply_braid(fan, word(s.rank, 1, -3, 5, 2, 4, -6))
+        built = built_curves(monkeypatch)
+        braid.normalize_to_theta(start)
+        assert len(braid._STEPS) > 0 and len(braid._MUTATE_CACHE) > 0
+        assert built == list(fan)

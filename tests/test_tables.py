@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wplarcs import braid, exceptional
+from wplarcs import braid, core, exceptional
 from wplarcs.braid import (
     LEFT,
     RIGHT,
@@ -64,12 +64,17 @@ def search_bounds(s: Surface) -> tuple:
 
 def search_table_sizes(s: Surface) -> tuple:
     """(ids, steps, shift entries) of the search tables on the surface s."""
-    on_s = {i for i, arc in enumerate(braid._ARCS) if arc.surface == s}
+    on_s = {i for i, (surface, _) in enumerate(braid._ARCS) if surface == s}
     return (
         len(on_s),
         sum(key[0] in on_s for key in braid._STEPS),
         sum(key[0] in on_s for key in braid._SHIFTS),
     )
+
+
+def search_arcs() -> list:
+    """The search tables' arcs as curves, by id."""
+    return [_curve(lift, s) for s, lift in braid._ARCS]
 
 
 def in_folded_window(arc) -> bool:
@@ -98,6 +103,10 @@ def anchored_pair(key: tuple):
     p, q, ka, xa, ya, kb, xb, yb = key
     s = Surface(p, q)
     return KINDS[ka](s, xa, ya), KINDS[kb](s, xb, yb)
+
+
+def lifts_of(arcs) -> tuple:
+    return tuple([a.key() for a in arcs])
 
 
 def letters(rng: random.Random, r: int, n: int) -> list:
@@ -201,12 +210,18 @@ class TestTables:
             for u, v in TWISTS:
                 moved = (alpha.twisted(u, v), beta.twisted(u, v))
                 expected = mutate_literal(*moved, side)
-                assert _curve(braid._twisted(entry, u, v, s), s) == expected
+                assert _curve(core._twisted(entry, u, v, s), s) == expected
 
     def test_sizes_match_the_curve_tables(self, mixed_run):
         # The curve-keyed tables these replaced ended this run holding
         # 320 pair entries and 232 mutation entries.
         assert (len(exceptional._PAIR_CACHE), len(braid._MUTATE_CACHE)) == (320, 232)
+
+    def test_search_sizes_match_the_curve_keyed_tables(self, mixed_run):
+        # (ids, steps, shift entries) per mix surface of the search tables
+        # keyed on curves, which the tables keyed on lifts replaced.
+        sizes = [search_table_sizes(s) for s in MIX_SURFACES]
+        assert sizes == [(24, 109, 28), (16, 74, 0), (26, 174, 0)]
 
     def test_sizes_stay_within_the_bound(self, mixed_run):
         for s in MIX_SURFACES:
@@ -216,10 +231,10 @@ class TestTables:
             assert 0 < len(mutations) <= 2 * table_bound(s)
 
     def test_search_entries_match_the_curves(self, mixed_run):
-        arcs = braid._ARCS
-        assert len(arcs) == len(set(arcs)) == len(braid._IDS) == len(braid._FOLDS)
+        assert len(braid._ARCS) == len(set(braid._ARCS)) == len(braid._IDS) == len(braid._FOLDS)
+        arcs = search_arcs()
         for i, arc in enumerate(arcs):
-            assert braid._IDS[arc] == i
+            assert braid._IDS[arc.surface, arc.key()] == i
             fold = arc.anchoring_shift()[0] if isinstance(arc, Bridging) else None
             assert braid._FOLDS[i] == fold
         for (a, b, sign), (a2, b2) in braid._STEPS.items():
@@ -242,7 +257,7 @@ class TestTables:
     def test_steps_and_refolds_stay_in_the_folded_window(self, mixed_run):
         # Steps are keyed on two members of a folded state, and a refold
         # lands on one: the argument behind the bound.
-        arcs = braid._ARCS
+        arcs = search_arcs()
         for a, b, _ in braid._STEPS:
             assert in_folded_window(arcs[a]) and in_folded_window(arcs[b])
         for target in braid._SHIFTS.values():
@@ -253,11 +268,11 @@ class TestTables:
         mutations = len(braid._MUTATE_CACHE)
         for start in mixed_run:
             s = start[0].surface
-            goal, depth = canonical_theta(s), 4 * s.rank
-            m, found = braid._bidirectional_search(start, goal, depth, 10**6)
+            goal, depth = lifts_of(canonical_theta(s)), 4 * s.rank
+            m, found = braid._bidirectional_search(lifts_of(start), goal, s, depth, 10**6)
             for t in (10**9, 10**18):
-                far = se_shift_collection(start, t)
-                assert braid._bidirectional_search(far, goal, depth, 10**6) == (m + t, found)
+                far = lifts_of(se_shift_collection(start, t))
+                assert braid._bidirectional_search(far, goal, s, depth, 10**6) == (m + t, found)
         assert [search_table_sizes(s) for s in MIX_SURFACES] == sizes
         assert len(braid._MUTATE_CACHE) == mutations
 
